@@ -2,8 +2,9 @@
 """Brute-force validation of every closed-form swap-test formula.
 
 The parametric layer never touches amplitudes, so this script rebuilds
-everything the hard way: explicit density matrices, the d^2 x d^2 swap
-operator, symmetric-subspace projection, partial traces.  The two
+everything the hard way: explicit density matrices, their d^4-entry joint
+state, its symmetric- and antisymmetric-subspace projections (the swap
+operator applied as an index permutation), partial traces.  The two
 descriptions must agree to near machine precision.
 """
 

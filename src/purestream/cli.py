@@ -40,6 +40,13 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageExit(message)
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
+    return value
+
+
 def _meta(schema: str, command: str, params: dict, seed: int | None) -> dict:
     return {
         "tool": "purestream",
@@ -223,7 +230,7 @@ def cmd_verify(args) -> int:
         worst_state = max(worst_state, float(ds))
     ok = bool(worst_prob <= tol and worst_state <= tol)
     params = {"d": args.d, "trials": args.trials, "tol": tol}
-    meta = _meta("verify-v1", "verify", params, args.seed)
+    meta = _meta("verify-v2", "verify", params, args.seed)
     payload = {
         "report": {
             "max_prob_deviation": worst_prob,
@@ -343,7 +350,7 @@ def build_parser() -> _Parser:
         p.add_argument("--out", default="-", help="output path ('-' for stdout)")
         p.add_argument(
             "--jobs",
-            type=int,
+            type=_positive_int,
             default=1,
             help="parallel workers for heavy trial loops (simulate); "
             "results are independent of the split",
@@ -366,7 +373,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("region", help="improvement-region boundary grid")
     p.add_argument("--d-list", default=f"2,3,6,{_REGION_INF_APPROX}")
-    p.add_argument("--resolution", type=int, default=200)
+    p.add_argument("--resolution", type=_positive_int, default=200)
     common(p)
     p.set_defaults(func=cmd_region)
 
@@ -374,14 +381,14 @@ def build_parser() -> _Parser:
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--delta0", type=float, required=True)
     p.add_argument("--levels", type=int, required=True)
-    p.add_argument("--runs", type=int, default=10000)
+    p.add_argument("--runs", type=_positive_int, default=10000)
     p.add_argument("--per-run", default=None, help="optional per-run CSV path")
     common(p)
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("verify", help="dense-oracle equivalence sweep")
     p.add_argument("--d", type=int, default=2)
-    p.add_argument("--trials", type=int, default=100)
+    p.add_argument("--trials", type=_positive_int, default=100)
     p.add_argument("--tol", type=float, default=1e-10)
     common(p)
     p.set_defaults(func=cmd_verify)
@@ -390,8 +397,8 @@ def build_parser() -> _Parser:
     p.add_argument("--m", default="4", help="problem size, or comma list for a table")
     p.add_argument("--delta", type=float, default=0.5)
     p.add_argument("--eps", type=float, default=None, help="default 1/(10m)")
-    p.add_argument("--trials", type=int, default=50)
-    p.add_argument("--budget", type=int, default=None, help="default 10m samples")
+    p.add_argument("--trials", type=_positive_int, default=50)
+    p.add_argument("--budget", type=_positive_int, default=None, help="default 10m samples")
     common(p)
     p.set_defaults(func=cmd_simon)
 
@@ -399,8 +406,8 @@ def build_parser() -> _Parser:
     p.add_argument("--d", type=int, default=2)
     p.add_argument("--eta", type=float, default=0.5)
     p.add_argument("--case", choices=("mixed", "far", "both"), default="both")
-    p.add_argument("--trials", type=int, default=100)
-    p.add_argument("--reps", type=int, default=20)
+    p.add_argument("--trials", type=_positive_int, default=100)
+    p.add_argument("--reps", type=_positive_int, default=20)
     p.add_argument("--tau", type=float, default=applications.DEFAULT_THRESHOLD)
     common(p)
     p.set_defaults(func=cmd_mixedness)

@@ -1,11 +1,16 @@
 """Brute-force density-matrix swap test for small dimensions.
 
 Independent of every parametric formula in this package: states are
-explicit d x d matrices, the swap test is the symmetric projector
-(I + S)/2 applied to rho (x) sigma, and outputs come from a partial
-trace.  Wherever the gadget module claims a closed form, this module
-can check it by direct linear algebra.  Capped at d <= 16 since the
-joint space is d^2 x d^2.
+explicit d x d matrices, the swap test is the pair of projectors
+P = (I +- S)/2 applied to J = rho (x) sigma, and outputs come from a
+partial trace.  Wherever the gadget module claims a closed form, this
+module can check it by direct linear algebra.
+
+S is a permutation of the joint indices, so the projected state
+P J P = (J + SJS +- (SJ + JS))/4 is never formed: each term's
+second-register partial trace is one index contraction of J viewed as a
+(d, d, d, d) array.  Memory is the d^4 entries of J; each contraction
+costs O(d^3).  Capped at d <= 16.
 """
 
 from __future__ import annotations
@@ -21,7 +26,6 @@ __all__ = [
     "SwapTestResult",
     "random_pure_state",
     "make_depolarized",
-    "swap_operator",
     "swap_test_apply",
     "trace_distance",
     "validate_density_matrix",
@@ -77,19 +81,6 @@ def validate_density_matrix(rho: np.ndarray, name: str = "state") -> int:
     return d
 
 
-def swap_operator(d: int) -> np.ndarray:
-    """The d^2 x d^2 permutation matrix S |i>|j> = |j>|i>."""
-    s = np.zeros((d * d, d * d))
-    for i in range(d):
-        for j in range(d):
-            s[j * d + i, i * d + j] = 1.0
-    return s
-
-
-def _partial_trace_second(m: np.ndarray, d: int) -> np.ndarray:
-    return np.einsum("ijkj->ik", m.reshape(d, d, d, d))
-
-
 @dataclass
 class SwapTestResult:
     """Both outcome branches of one swap test.
@@ -124,18 +115,20 @@ def swap_test_apply(rho: np.ndarray, sigma: np.ndarray) -> SwapTestResult:
 
     p0_formula = (1.0 + np.trace(rho @ sigma).real) / 2.0
 
-    joint = np.kron(rho, sigma)
-    s = swap_operator(d)
-    eye = np.eye(d * d)
+    # joint[i, j, k, l] = <ij|J|kl>; (SJ)[i,j,k,l] = J[j,i,k,l] and
+    # (JS)[i,j,k,l] = J[i,j,l,k], so each term's partial trace over the
+    # second register is a single contraction of J
+    joint = np.kron(rho, sigma).reshape(d, d, d, d)
+    direct = np.einsum("ijkj->ik", joint) + np.einsum("jijk->ik", joint)  # J + SJS
+    cross = np.einsum("jikj->ik", joint) + np.einsum("ijjk->ik", joint)  # SJ + JS
     branches = []
     probs = []
     for sign in (+1.0, -1.0):
-        proj = (eye + sign * s) / 2.0
-        sub = proj @ joint @ proj
-        p = np.trace(sub).real
+        reduced = (direct + sign * cross) / 4.0
+        p = np.trace(reduced).real
         probs.append(p)
         if p > _BRANCH_EPS:
-            branches.append(_partial_trace_second(sub, d) / p)
+            branches.append(reduced / p)
         else:
             branches.append(None)
     p0, p1 = probs

@@ -163,6 +163,16 @@ class TestVerifyCommand:
         assert rep["pass"] is True
         assert rep["max_prob_deviation"] <= 1e-10
 
+    def test_dimension_cap_schema_and_deviations(self, tmp_path):
+        out = tmp_path / "v16.json"
+        assert run_cli(["verify", "--d", "16", "--trials", "20", "--out", str(out)]) == 0
+        doc = json.loads(out.read_text())
+        assert doc["meta"]["schema"] == "verify-v2"
+        rep = doc["report"]
+        assert rep["pass"] is True
+        assert rep["max_prob_deviation"] <= 1e-13
+        assert rep["max_trace_distance"] <= 1e-13
+
     def test_dimension_cap_is_usage_error(self):
         assert run_cli(["verify", "--d", "17", "--trials", "5"]) == 1
 
@@ -228,3 +238,23 @@ class TestUsageErrors:
 
     def test_missing_required(self):
         assert run_cli(["bounds", "--d", "2"]) == 1
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["simon", "--m", "3", "--trials", "0"],
+            ["mixedness", "--trials", "0"],
+            ["verify", "--trials", "0"],
+            ["region", "--resolution", "-1"],
+            ["region", "--resolution", "0"],
+            ["simulate", "--d", "2", "--delta0", "0.3", "--levels", "2", "--jobs", "0"],
+            ["simulate", "--d", "2", "--delta0", "0.3", "--levels", "2", "--runs", "0"],
+            ["mixedness", "--reps", "0"],
+            ["simon", "--budget", "-3"],
+        ],
+    )
+    def test_degenerate_count_rejected(self, argv, capsys):
+        assert run_cli(argv) == 1
+        err = capsys.readouterr().err
+        assert "error:" in err
+        assert "Traceback" not in err

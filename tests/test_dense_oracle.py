@@ -6,12 +6,52 @@ from purestream.dense_oracle import (
     MAX_DIM,
     make_depolarized,
     random_pure_state,
-    swap_operator,
     swap_test_apply,
     trace_distance,
     validate_density_matrix,
 )
 from purestream.gadget import swap_output_delta, swap_success_prob
+
+
+def swap_operator(d):
+    """The d^2 x d^2 permutation matrix S |i>|j> = |j>|i>."""
+    s = np.zeros((d * d, d * d))
+    for i in range(d):
+        for j in range(d):
+            s[j * d + i, i * d + j] = 1.0
+    return s
+
+
+def reference_swap_test(rho, sigma):
+    """The swap test by explicit projection: (I +- S)/2 @ J @ (I +- S)/2.
+
+    Returns [(p0, omega0), (p1, omega1)], with the same 1e-12 branch
+    cutoff as swap_test_apply.  O(d^6) dense matmuls; a test-only
+    reference for the index-contraction form.
+    """
+    d = rho.shape[0]
+    joint = np.kron(rho, sigma)
+    s = swap_operator(d)
+    eye = np.eye(d * d)
+    branches = []
+    for sign in (+1.0, -1.0):
+        proj = (eye + sign * s) / 2.0
+        sub = proj @ joint @ proj
+        p = np.trace(sub).real
+        omega = np.einsum("ijkj->ik", sub.reshape(d, d, d, d)) / p if p > 1e-12 else None
+        branches.append((p, omega))
+    return branches
+
+
+def _wishart_state(d, rank, rng):
+    g = rng.standard_normal((d, rank)) + 1j * rng.standard_normal((d, rank))
+    rho = g @ g.conj().T
+    return rho / np.trace(rho).real
+
+
+def _pure_state(d, rng):
+    psi = random_pure_state(d, rng)
+    return np.outer(psi, psi.conj())
 
 
 def _random_unitary(d, rng):
@@ -167,6 +207,42 @@ class TestSwapTestApply:
         assert abs(res.p0 - res_rot.p0) <= 1e-10
         back = u.conj().T @ res_rot.omega0 @ u
         assert trace_distance(res.omega0, back) <= 1e-10
+
+
+class TestAgainstExplicitSwapOperator:
+    """Differential test on non-commuting pairs that share no psi."""
+
+    @staticmethod
+    def _pairs(d, rng):
+        low = d // 2
+        yield _wishart_state(d, d, rng), _wishart_state(d, d, rng)
+        yield _wishart_state(d, low, rng), _wishart_state(d, d, rng)
+        yield _wishart_state(d, low, rng), _wishart_state(d, 1, rng)
+        yield _pure_state(d, rng), _pure_state(d, rng)
+        yield _pure_state(d, rng), _wishart_state(d, d, rng)
+
+    @staticmethod
+    def _assert_matches(rho, sigma):
+        assert np.abs(rho @ sigma - sigma @ rho).max() > 1e-6  # non-commuting
+        res = swap_test_apply(rho, sigma)
+        got = [(res.p0, res.omega0), (res.p1, res.omega1)]
+        for (p, omega), (p_ref, omega_ref) in zip(got, reference_swap_test(rho, sigma)):
+            assert abs(p - p_ref) <= 1e-12
+            assert (omega is None) == (omega_ref is None)
+            if omega is not None:
+                assert np.abs(omega - omega_ref).max() <= 1e-12
+
+    @pytest.mark.parametrize("d", range(2, 9))
+    def test_small_dimensions(self, d):
+        rng = Seed(50 + d).generator()
+        for _ in range(4):
+            for rho, sigma in self._pairs(d, rng):
+                self._assert_matches(rho, sigma)
+
+    def test_dimension_cap(self):
+        rng = Seed(66).generator()
+        for rho, sigma in self._pairs(MAX_DIM, rng):
+            self._assert_matches(rho, sigma)
 
 
 class TestTraceDistance:

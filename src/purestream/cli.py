@@ -12,6 +12,7 @@ Exit codes: 0 success, 1 usage error, 2 validation/tolerance failure,
 from __future__ import annotations
 
 import argparse
+import functools
 import io
 import json
 import sys
@@ -338,7 +339,9 @@ def cmd_mixedness(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The argument parser, built once per process and shared; do not modify it."""
     parser = _Parser(prog="purestream", description=__doc__)
     parser.add_argument(
         "--version", action="version", version=f"purestream {__version__}"
@@ -420,11 +423,11 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except _UsageExit as exc:
+    except (_UsageExit, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except OverflowError as exc:
+        print(f"error: numeric overflow: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
 

@@ -9,6 +9,9 @@ updates.  That makes 10^5..10^6 full protocol runs cheap while staying
 faithful to the real control flow, including restarts after failures.
 The dense oracle module independently certifies the state-form claim
 this reduction rests on.
+
+Outcome sources expose ``draws``, uniform floats in stream order; a swap
+test with success probability p passes when its draw is below p.
 """
 
 from __future__ import annotations
@@ -57,45 +60,38 @@ class StreamStats:
 
 
 class SeededOutcomes:
-    """Bernoulli outcome stream backed by a seeded PRNG.
+    """Outcome stream backed by a seeded PRNG.
 
-    Uniform draws are buffered in geometrically growing blocks, so short
-    runs stay cheap and long runs amortize the generator calls.  Draws
-    are consumed in stream order, so a fixed seed reproduces runs
-    bit-for-bit regardless of the buffering.
+    ``draws`` yields the generator's uniform floats from blocks that double
+    in size up to ``max_block``: the first is drawn here, each later one
+    when the previous runs out.  A fixed seed reproduces runs bit-for-bit,
+    also when several machines share one generator in turn.
     """
 
-    __slots__ = ("_rng", "_buf", "_pos", "_block", "_max_block")
+    __slots__ = ("draws",)
 
     def __init__(self, rng: np.random.Generator, block: int = 128, max_block: int = 8192):
-        self._rng = rng
-        self._block = block
-        self._max_block = max_block
-        self._buf = rng.random(block).tolist()
-        self._pos = 0
+        first = rng.random(block).tolist()
+        later = (rng.random(min(block << j, max_block)).tolist() for j in itertools.count(1))
+        self.draws = itertools.chain.from_iterable(itertools.chain([first], later))
 
     def bernoulli(self, p: float) -> bool:
-        pos = self._pos
-        buf = self._buf
-        if pos >= len(buf):
-            self._block = min(2 * self._block, self._max_block)
-            buf = self._buf = self._rng.random(self._block).tolist()
-            pos = 0
-        self._pos = pos + 1
-        return buf[pos] < p
+        return next(self.draws) < p
 
 
 class ForcedOutcomes:
-    """Rigged outcome stream for deterministic control-flow tests."""
+    """Rigged outcome stream for control-flow tests: True draws 0.0, False 1.0."""
 
     def __init__(self, outcomes):
-        self._it = iter(outcomes)
+        forced = (0.0 if outcome else 1.0 for outcome in outcomes)
+        self.draws = itertools.chain(forced, iter(_exhausted, None))
 
     def bernoulli(self, p: float) -> bool:
-        try:
-            return bool(next(self._it))
-        except StopIteration:
-            raise RuntimeError("forced outcome sequence exhausted") from None
+        return next(self.draws) < p
+
+
+def _exhausted():
+    raise RuntimeError("forced outcome sequence exhausted")
 
 
 def always_succeed() -> ForcedOutcomes:
@@ -104,7 +100,7 @@ def always_succeed() -> ForcedOutcomes:
 
 def as_outcomes(seed) -> "SeededOutcomes | ForcedOutcomes":
     """Normalize a Seed, int, Generator, or outcome source."""
-    if hasattr(seed, "bernoulli"):
+    if hasattr(seed, "draws"):
         return seed
     if isinstance(seed, np.random.Generator):
         return SeededOutcomes(seed)
@@ -122,6 +118,10 @@ class StackMachine:
     levels: a successful swap test replaces the pair by one cell of the
     next level, a failed one discards both.  The run ends when the
     bottom cell reaches level n.
+
+    A run counts only per-level attempts and successes.  Every fetch is
+    followed by one level-0 test (copies = 2 * level_attempts[0]), and the
+    run ends at the first top-level success.
 
     Structural invariants (enforced whenever ``checked`` is true):
     levels on the stack are non-increasing with at most one equality,
@@ -173,18 +173,14 @@ class StackMachine:
         self.first_top_success = None
 
         p_of_level = self.p_of_level
-        bern = self.outcomes.bernoulli
+        draw = self.outcomes.draws.__next__
         checked = self.checked
         hook = self.trace_hook
         level_attempts = self.level_attempts
         level_successes = self.level_successes
-        top_level = n - 1
-        first_top = None
 
         purity = [-1] * (n + 3)
         k = 0
-        copies = 0
-        attempts = 0
         max_k = 0
 
         while True:
@@ -193,7 +189,6 @@ class StackMachine:
             purity[k] = 0
             k += 1
             purity[k] = 0
-            copies += 2
             if k > max_k:
                 max_k = k
             if checked:
@@ -208,12 +203,9 @@ class StackMachine:
                 lev = purity[k]
                 if checked and purity[k - 1] != lev:
                     raise InvariantViolation("swap test on cells of unequal level")
-                attempts += 1
                 level_attempts[lev] += 1
-                if bern(p_of_level[lev]):
+                if draw() < p_of_level[lev]:
                     level_successes[lev] += 1
-                    if lev == top_level and first_top is None:
-                        first_top = True
                     k -= 1
                     purity[k] = lev + 1
                     if checked and k >= 2:
@@ -227,8 +219,6 @@ class StackMachine:
                     if purity[k - 1] != purity[k]:
                         break
                 else:
-                    if lev == top_level and first_top is None:
-                        first_top = False
                     k -= 2
                     if hook is not None:
                         hook(purity, k)
@@ -237,9 +227,10 @@ class StackMachine:
             if k == 1 and purity[1] == n:
                 break
 
-        self.first_top_success = first_top
+        self.first_top_success = level_attempts[n - 1] == 1
+        attempts = sum(level_attempts)
         return StreamStats(
-            copies_consumed=copies,
+            copies_consumed=2 * level_attempts[0],
             swap_attempts=attempts,
             max_stack_depth=max_k,
             final_delta=self.delta_table[n],

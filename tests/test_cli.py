@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from purestream.cli import main
+from purestream.cli import build_parser, main
 from purestream.recurrence import eta_bound
 
 
@@ -258,3 +262,50 @@ class TestUsageErrors:
         err = capsys.readouterr().err
         assert "error:" in err
         assert "Traceback" not in err
+
+
+class TestOverflow:
+    # log-space bounds are not in yet; until then an overflow is a usage
+    # error with a message, not a traceback
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["bounds", "--d", "100", "--delta0", "0.999", "--eps", "1e-2"],
+            ["bounds", "--d", "1000", "--delta0", "0.9999", "--eps", "1e-3"],
+            ["bounds", "--d", "100", "--delta0", "0.999", "--eps", "1e-2", "--format", "json"],
+        ],
+    )
+    def test_overflow_is_usage_error(self, argv, capsys):
+        assert run_cli(argv) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: numeric overflow")
+        assert "Traceback" not in err
+
+
+class TestParserReuse:
+    VERIFY = ["verify", "--d", "4", "--trials", "5", "--seed", "3"]
+    SIMULATE = ["simulate", "--d", "2", "--delta0", "0.3", "--levels", "3",
+                "--runs", "20", "--seed", "4"]
+
+    @staticmethod
+    def fresh_process_output(argv):
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        done = subprocess.run(
+            [sys.executable, "-m", "purestream.cli", *argv],
+            env=dict(os.environ, PYTHONPATH=path),
+            capture_output=True, text=True, check=True, timeout=120,
+        )
+        return done.stdout
+
+    def test_one_parser_serves_calls_in_sequence(self, capsys):
+        assert build_parser() is build_parser()
+        assert run_cli(["simulate", "--d", "2", "--bogus"]) == 1
+        capsys.readouterr()
+        outputs = []
+        for argv in (self.VERIFY, self.SIMULATE):
+            assert run_cli(argv) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs == [self.fresh_process_output(argv)
+                           for argv in (self.VERIFY, self.SIMULATE)]

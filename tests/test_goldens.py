@@ -1,0 +1,109 @@
+"""Golden outputs: per-seed stack-machine runs and CLI output bytes.
+
+The fixtures in tests/golden/ were recorded by tests/golden/record.py on a
+reference commit.  They pin every draw the stack machine consumes, so a
+faster loop or a new outcome source must reproduce them exactly.
+"""
+
+import contextlib
+import hashlib
+import io
+import json
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from purestream import cli
+from purestream.core import Seed
+from purestream.streaming import (
+    ForcedOutcomes,
+    SeededOutcomes,
+    StackMachine,
+    purify_recursive,
+    purify_streaming,
+)
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+RUNS = json.loads((GOLDEN / "stack_machine.json").read_text())
+CLI = json.loads((GOLDEN / "cli_sha256.json").read_text())
+
+
+def run_record(machine):
+    st = machine.run()
+    return {
+        "stats": [st.copies_consumed, st.swap_attempts, st.max_stack_depth,
+                  st.final_delta, st.gate_count],
+        "level_attempts": list(machine.level_attempts),
+        "level_successes": list(machine.level_successes),
+        "first_top_success": machine.first_top_success,
+    }
+
+
+@pytest.mark.parametrize("checked", [True, False])
+@pytest.mark.parametrize("point", RUNS["seeded"], ids=lambda p: str(p["point"]))
+def test_seeded_runs(point, checked):
+    delta0, d, n = point["point"]
+    for i, want in enumerate(point["runs"]):
+        gen = Seed(point["seed"], i).generator()
+        machine = StackMachine.for_protocol(delta0, d, n, gen, checked=checked)
+        assert run_record(machine) == want, i
+
+
+def test_forced_runs():
+    for case in RUNS["forced"]:
+        delta0, d, n = case["point"]
+        outcomes = ForcedOutcomes(bit == "1" for bit in case["outcomes"])
+        got = run_record(StackMachine.for_protocol(delta0, d, n, outcomes))
+        want = {k: case[k] for k in got}
+        assert got == want, case["point"]
+
+
+def test_shared_generator_block_schedule():
+    # consecutive machines on one generator drop their unused draws, so
+    # the generator's position after each run pins the block schedule
+    rng = Seed(RUNS["shared"]["seed"]).generator()
+    for case in RUNS["shared"]["runs"]:
+        delta0, d, n = case["point"]
+        got = run_record(StackMachine.for_protocol(delta0, d, n, SeededOutcomes(rng)))
+        got["next_draw"] = float(rng.random())
+        assert got == {k: case[k] for k in got}, case["point"]
+
+
+def test_machine_rerun_resets_artifacts():
+    # a second run continues on the same draws and matches a fresh machine there
+    machine = StackMachine.for_protocol(0.6, 8, 6, Seed(701, 0).generator())
+    first = run_record(machine)
+    second = run_record(machine)
+    outcomes = SeededOutcomes(Seed(701, 0).generator())
+    StackMachine.for_protocol(0.6, 8, 6, outcomes).run()
+    assert first == RUNS["seeded"][1]["runs"][0]
+    assert second == run_record(StackMachine.for_protocol(0.6, 8, 6, outcomes))
+
+
+def test_streaming_equals_recursive_per_seed():
+    # both consume draws in the same depth-first order
+    mismatches = sum(
+        purify_streaming(0.6, 8, 6, Seed(707, i)) != purify_recursive(0.6, 8, 6, Seed(707, i))
+        for i in range(300)
+    )
+    assert mismatches == 0
+
+
+def test_bernoulli_reads_the_draw_stream():
+    a = SeededOutcomes(np.random.default_rng(3))
+    b = np.random.default_rng(3).random(200)
+    assert [a.bernoulli(0.4) for _ in range(200)] == (b < 0.4).tolist()
+    forced = ForcedOutcomes([True, False])
+    assert [forced.bernoulli(0.5), forced.bernoulli(0.5)] == [True, False]
+    for _ in range(2):  # and keeps raising once exhausted
+        with pytest.raises(RuntimeError, match="exhausted"):
+            forced.bernoulli(0.5)
+
+
+@pytest.mark.parametrize("case", CLI, ids=lambda c: " ".join(c["argv"][:1] + c["argv"][-2:]))
+def test_cli_bytes(case):
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        assert cli.main(case["argv"]) == 0
+    assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == case["sha256"]

@@ -30,9 +30,9 @@ print("pure + maximally mixed qubit:",
 
 print()
 print("largest improving delta_2 for a given delta_1 (region boundary):")
-print("delta_1   d=2      d=3      d=6      d=50")
+print("delta_1   d=2      d=3      d=6      d=50     d=inf")
 for delta1 in np.linspace(0.1, 0.9, 9):
-    row = [region_boundary(float(delta1), d) for d in (2, 3, 6, 50)]
+    row = [region_boundary(float(delta1), d) for d in (2, 3, 6, 50, "inf")]
     print(f"  {delta1:.1f}  " + "  ".join(f"{b:.5f}" for b in row))
 
 print()

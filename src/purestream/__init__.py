@@ -1,7 +1,7 @@
 """Streaming purification of depolarized qudit states via the swap test.
 
 Subpackages:
-  core          shared value types (dimension, error parameter, seeds)
+  core          dimension type, seeds, shared argument checks
   recurrence    exact per-level recurrences, iteration bounds, complexity formulas
   gadget        closed-form algebra of one swap test on unequal inputs
   dense_oracle  brute-force density-matrix validation at small d
@@ -14,9 +14,7 @@ __version__ = "0.1.0"
 
 from .core import (
     INFINITE,
-    DepolarizedState,
     Dimension,
-    ErrorParam,
     Seed,
     as_dimension,
     fidelity_of_output,
@@ -41,9 +39,7 @@ from .streaming import (
 __all__ = [
     "__version__",
     "INFINITE",
-    "DepolarizedState",
     "Dimension",
-    "ErrorParam",
     "Seed",
     "as_dimension",
     "fidelity_of_output",

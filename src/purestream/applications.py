@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Dimension, Seed
+from .core import Dimension, as_generator, check_dim, check_open_unit
 from .recurrence import iterate, iterations_to, success_prob
 from .streaming import SeededOutcomes, StackMachine
 
@@ -59,8 +59,7 @@ class SimonInstance:
             raise ValueError(f"s must be a length-{self.m} bit-string")
         if self.s == "0" * self.m:
             raise ValueError("hidden string must be nonzero")
-        if not (0.0 < self.oracle_delta < 1.0):
-            raise ValueError("oracle_delta must lie in (0, 1)")
+        check_open_unit(oracle_delta=self.oracle_delta)
 
     @property
     def oracle_dim(self) -> int:
@@ -187,7 +186,7 @@ class _PurifiedSampler:
 
 def sample_purified_y(instance: SimonInstance, eps_target: float, rng) -> tuple[str, int]:
     """One purified Simon sample: (y bit-string, oracle queries used)."""
-    rng = _as_generator(rng)
+    rng = as_generator(rng)
     sampler = _PurifiedSampler(instance, eps_target)
     y, queries = sampler.sample(rng)
     return _mask_to_bits(y, instance.m), queries
@@ -212,7 +211,7 @@ def solve_simon(
     """
     if budget < 1:
         raise ValueError("budget must be >= 1")
-    rng = _as_generator(rng)
+    rng = as_generator(rng)
     sampler = _PurifiedSampler(instance, eps_target, checked=checked)
     m = instance.m
 
@@ -288,8 +287,7 @@ class MixednessOutcome:
 
 def mixedness_levels(eta: float) -> int:
     """Purifier depth that drives a far-from-mixed stream below 2^-10."""
-    if not (0.0 < eta < 1.0):
-        raise ValueError("eta must lie in (0, 1)")
+    check_open_unit(eta=eta)
     return math.ceil(15.0 + 2.0 / eta + 2.0 * math.log(2.0 / eta))
 
 
@@ -326,8 +324,7 @@ def mixedness_test(
     execution event-by-event would add nothing statistically).  Declares
     MaximallyMixed when the pass rate falls below `threshold`.
     """
-    if d < 2:
-        raise ValueError("d must be >= 2")
+    check_dim(d)
     if reps < 1:
         raise ValueError("reps must be >= 1")
     n = mixedness_levels(eta)  # validates eta
@@ -337,7 +334,7 @@ def mixedness_test(
             f"got {case_delta}"
         )
     p_top = mixedness_top_pass_prob(case_delta, d, eta)
-    rng = _as_generator(seed)
+    rng = as_generator(seed)
     passes = int((rng.random(reps) < p_top).sum())
     rate = passes / reps
     verdict = MAXIMALLY_MIXED if rate < threshold else FAR_FROM_MIXED
@@ -350,11 +347,3 @@ def mixedness_test(
         top_pass_prob=p_top,
         threshold=threshold,
     )
-
-
-def _as_generator(seed) -> np.random.Generator:
-    if isinstance(seed, np.random.Generator):
-        return seed
-    if isinstance(seed, Seed):
-        return seed.generator()
-    return Seed(int(seed)).generator()

@@ -28,9 +28,6 @@ EXIT_USAGE = 1
 EXIT_VALIDATION = 2
 EXIT_BUDGET = 3
 
-_REGION_INF_APPROX = 10**6  # stands in for d = infinity on finite-d-only ops
-
-
 class _UsageExit(Exception):
     pass
 
@@ -132,7 +129,7 @@ def cmd_bounds(args) -> int:
         "sc_exact": sc_exact,
         "sc_theorem_bound": recurrence.sc_theorem_bound(delta0, d, eps),
         "lower_bound_samples": recurrence.lower_bound_samples(delta0, d, eps),
-        "optimal_protocol_samples": ((d - 1) / d) * delta0 / (eps * (1.0 - delta0) ** 2),
+        "optimal_protocol_samples": recurrence.optimal_protocol_samples(delta0, d, eps),
         "tomography_collective": recurrence.tomography_sample_estimate(d, delta0, eps, True),
         "tomography_single_copy": recurrence.tomography_sample_estimate(d, delta0, eps, False),
     }
@@ -151,21 +148,16 @@ def cmd_bounds(args) -> int:
 
 
 def cmd_region(args) -> int:
-    dims = []
-    for tok in args.d_list.split(","):
-        tok = tok.strip()
-        if not tok:
-            continue
-        dm = as_dimension(tok)
-        # region formulas need a finite d; a huge one stands in for inf
-        dims.append(Dimension.finite(_REGION_INF_APPROX) if not dm.is_finite else dm)
+    dims = _parse_dims(args.d_list)
     params = {"d_list": [str(dm) for dm in dims], "resolution": args.resolution}
     rows = []
     grid = np.linspace(0.0, 1.0, args.resolution + 2)[1:-1]
     for dm in dims:
         for delta1 in grid:
-            rows.append((dm.d, float(delta1), gadget.region_boundary(float(delta1), dm)))
-    meta = _meta("region-v1", "region", params, args.seed)
+            rows.append((str(dm), float(delta1), gadget.region_boundary(float(delta1), dm)))
+    # d = inf is exact since region-v2; without it the bytes are region-v1's
+    schema = "region-v1" if all(dm.is_finite for dm in dims) else "region-v2"
+    meta = _meta(schema, "region", params, args.seed)
     _write_text(args.out, _csv(meta, ["d", "delta1", "delta2_boundary"], rows))
     return EXIT_OK
 
@@ -355,7 +347,7 @@ def build_parser() -> _Parser:
             "--jobs",
             type=_positive_int,
             default=1,
-            help="parallel workers for heavy trial loops (simulate); "
+            help="parallel workers for simulate (other commands ignore it); "
             "results are independent of the split",
         )
 
@@ -375,7 +367,7 @@ def build_parser() -> _Parser:
     p.set_defaults(func=cmd_bounds)
 
     p = sub.add_parser("region", help="improvement-region boundary grid")
-    p.add_argument("--d-list", default=f"2,3,6,{_REGION_INF_APPROX}")
+    p.add_argument("--d-list", default="2,3,6,inf")
     p.add_argument("--resolution", type=_positive_int, default=200)
     common(p)
     p.set_defaults(func=cmd_region)
@@ -426,8 +418,10 @@ def main(argv=None) -> int:
     except (_UsageExit, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except OverflowError as exc:
-        print(f"error: numeric overflow: {exc}", file=sys.stderr)
+    except ArithmeticError as exc:
+        # an overflow, or a division by a product that underflowed to 0
+        kind = "overflow" if isinstance(exc, OverflowError) else "error"
+        print(f"error: numeric {kind}: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
 

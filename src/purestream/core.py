@@ -1,4 +1,4 @@
-"""Shared domain types and numeric conventions.
+"""Shared domain types, argument checks and seed coercion.
 
 Everything in this package works on states of the form
 
@@ -7,6 +7,11 @@ Everything in this package works on states of the form
 which are fully described by the error parameter ``delta`` and the qudit
 dimension ``d``; the underlying pure state |psi> never needs to be
 represented except inside the dense validation oracle.
+
+This module is the one home of the conventions the others share: the
+dimension type and its ``inv`` (1/d, 0 at d = inf, the only way the
+analytic maps see d), the checks on unit-interval arguments and on
+integer dimensions, and the coercion of a seed to a numpy Generator.
 """
 
 from __future__ import annotations
@@ -20,9 +25,11 @@ __all__ = [
     "Dimension",
     "INFINITE",
     "as_dimension",
-    "ErrorParam",
-    "DepolarizedState",
     "Seed",
+    "as_generator",
+    "check_closed_unit",
+    "check_open_unit",
+    "check_dim",
     "fidelity_of_output",
 ]
 
@@ -43,8 +50,7 @@ class Dimension:
         if self.d is not None:
             if not isinstance(self.d, int) or isinstance(self.d, bool):
                 raise TypeError(f"finite dimension must be an int, got {self.d!r}")
-            if self.d < 2:
-                raise ValueError(f"dimension must be >= 2, got {self.d}")
+            check_dim(self.d)
 
     @classmethod
     def finite(cls, d: int) -> "Dimension":
@@ -101,53 +107,6 @@ def as_dimension(dim) -> Dimension:
     return Dimension.finite(int(dim))
 
 
-@dataclass(frozen=True)
-class ErrorParam:
-    """Depolarization weight delta in [0, 1].
-
-    kappa = 1 - delta is an accessor, not independent state.  Code that
-    needs full relative precision in kappa near delta = 1 should use the
-    kappa-native update path in the recurrence module rather than forming
-    1 - delta here.
-    """
-
-    delta: float
-
-    def __post_init__(self):
-        if not (0.0 <= self.delta <= 1.0):
-            # Out-of-range inputs are rejected, never clamped silently.
-            raise ValueError(f"error parameter must lie in [0, 1], got {self.delta}")
-
-    @property
-    def kappa(self) -> float:
-        return 1.0 - self.delta
-
-    @classmethod
-    def from_kappa(cls, kappa: float) -> "ErrorParam":
-        if not (0.0 <= kappa <= 1.0):
-            raise ValueError(f"kappa must lie in [0, 1], got {kappa}")
-        return cls(1.0 - kappa)
-
-
-@dataclass(frozen=True)
-class DepolarizedState:
-    """Parametric description of rho(delta) on a finite-dimensional qudit."""
-
-    delta: ErrorParam
-    dim: Dimension
-
-    def __post_init__(self):
-        self.dim.require_finite("DepolarizedState")
-
-    @classmethod
-    def create(cls, delta: float, d: int) -> "DepolarizedState":
-        return cls(ErrorParam(delta), Dimension.finite(d))
-
-    @property
-    def fidelity(self) -> float:
-        return fidelity_of_output(self.delta.delta, self.dim)
-
-
 _UINT64_MAX = 2**64 - 1
 
 
@@ -185,10 +144,38 @@ class Seed:
         return np.random.Generator(np.random.PCG64(self.child(index)))
 
 
+def as_generator(seed) -> np.random.Generator:
+    """A Generator as is; otherwise the stream of a Seed, or of Seed(int(seed))."""
+    if isinstance(seed, np.random.Generator):
+        return seed
+    if isinstance(seed, Seed):
+        return seed.generator()
+    return Seed(int(seed)).generator()
+
+
+def check_closed_unit(**values: float):
+    """Reject, by keyword name, any value outside [0, 1]; nothing is clamped."""
+    for name, x in values.items():
+        if not (0.0 <= x <= 1.0):
+            raise ValueError(f"{name} must lie in [0, 1], got {x}")
+
+
+def check_open_unit(**values: float):
+    """Reject, by keyword name, any value outside the open (0, 1)."""
+    for name, x in values.items():
+        if not (0.0 < x < 1.0):
+            raise ValueError(f"{name} must lie in (0, 1), got {x}")
+
+
+def check_dim(d: int):
+    """Reject an integer dimension below 2."""
+    if d < 2:
+        raise ValueError(f"d must be >= 2, got {d}")
+
+
 def fidelity_of_output(delta: float, dim) -> float:
     """Fidelity of rho(delta) with the target pure state: 1 - (1 - 1/d) delta."""
     dim = as_dimension(dim)
     dim.require_finite("fidelity_of_output")
-    if not (0.0 <= delta <= 1.0):
-        raise ValueError(f"delta must lie in [0, 1], got {delta}")
+    check_closed_unit(delta=delta)
     return 1.0 - (1.0 - dim.inv) * delta

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Seed
+from .core import as_generator, check_closed_unit, check_dim
 
 __all__ = [
     "MAX_DIM",
@@ -40,27 +40,17 @@ _BRANCH_EPS = 1e-12  # outcome branches lighter than this are not normalized
 _CROSS_CHECK_TOL = 1e-12
 
 
-def _as_rng(seed) -> np.random.Generator:
-    if isinstance(seed, np.random.Generator):
-        return seed
-    if isinstance(seed, Seed):
-        return seed.generator()
-    return Seed(int(seed)).generator()
-
-
 def random_pure_state(d: int, seed) -> np.ndarray:
     """Normalized complex d-vector from i.i.d. Gaussian amplitudes."""
-    if d < 2:
-        raise ValueError("d must be >= 2")
-    rng = _as_rng(seed)
+    check_dim(d)
+    rng = as_generator(seed)
     v = rng.standard_normal(d) + 1j * rng.standard_normal(d)
     return v / np.linalg.norm(v)
 
 
 def make_depolarized(psi: np.ndarray, delta: float) -> np.ndarray:
     """Density matrix (1 - delta)|psi><psi| + delta I/d."""
-    if not (0.0 <= delta <= 1.0):
-        raise ValueError(f"delta must lie in [0, 1], got {delta}")
+    check_closed_unit(delta=delta)
     psi = np.asarray(psi, dtype=complex)
     d = psi.shape[0]
     return (1.0 - delta) * np.outer(psi, psi.conj()) + delta * np.eye(d) / d

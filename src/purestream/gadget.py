@@ -4,13 +4,16 @@ The recurrence module covers the equal-noise case used by the protocol;
 here the inputs may carry different error parameters delta_1, delta_2,
 which is what determines when a merge actually helps.  The protocol
 itself never mixes unequal inputs; this module characterizes why.
+
+Every formula takes d as anything ``core.as_dimension`` accepts; d = inf
+is the exact limit (1/d = 0), not a large finite stand-in.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import as_dimension
+from .core import Dimension, as_dimension, check_closed_unit, check_open_unit
 
 __all__ = [
     "GadgetOutcome",
@@ -29,7 +32,7 @@ def swap_success_prob(delta1: float, delta2: float, dim) -> float:
     always at least 1/2 and reduces to the equal-noise P(delta, d) on the
     diagonal.
     """
-    _check(delta1, delta2)
+    check_closed_unit(delta1=delta1, delta2=delta2)
     r = as_dimension(dim).inv
     # group the symmetric factors so the result is exactly order-independent
     overlap = (1.0 - delta1) * (1.0 - delta2)
@@ -44,32 +47,29 @@ def swap_output_delta(delta1: float, delta2: float, dim) -> float:
         delta' = ((delta_1 + delta_2)/2 + delta_1 delta_2 / d)
                  / ((1 + 1/d) + (1 - 1/d)(1 - delta_1)(1 - delta_2)).
     """
-    _check(delta1, delta2)
-    dm = as_dimension(dim)
-    d = dm.require_finite("swap_output_delta")
+    check_closed_unit(delta1=delta1, delta2=delta2)
+    r = as_dimension(dim).inv
     overlap = (1.0 - delta1) * (1.0 - delta2)
-    num = (delta1 + delta2) / 2.0 + delta1 * delta2 / d
-    den = (1.0 + 1.0 / d) + (1.0 - 1.0 / d) * overlap
+    num = (delta1 + delta2) / 2.0 + delta1 * delta2 * r
+    den = (1.0 + r) + (1.0 - r) * overlap
     return num / den
 
 
 def improves_both(delta1: float, delta2: float, dim) -> bool:
     """Whether the output is strictly purer than both inputs.
 
-    With (lo, hi) the sorted pair, this holds iff
+    With (lo, hi) the sorted pair and w = 2 lo (1 - (1 - 1/d) lo), this
+    holds iff
 
-        hi - lo < (1 - lo) * 2 lo (d - (d-1) lo) / (d + 2 lo (d - (d-1) lo)),
+        hi - lo < (1 - lo) w / (1 + w),
 
     a strict inequality: boundary pairs classify as non-improving.  The
     endpoints delta = 0 and delta = 1 are excluded since a pure state
     cannot improve and a maximally mixed pair carries no signal.
     """
-    dm = as_dimension(dim)
-    d = dm.require_finite("improves_both")
-    if not (0.0 < delta1 < 1.0 and 0.0 < delta2 < 1.0):
-        raise ValueError("improves_both requires delta values in the open (0, 1)")
+    check_open_unit(delta1=delta1, delta2=delta2)
     lo, hi = (delta1, delta2) if delta1 <= delta2 else (delta2, delta1)
-    return hi - lo < _improvement_margin(lo, d)
+    return hi - lo < _improvement_margin(lo, as_dimension(dim))
 
 
 def region_boundary(delta1: float, dim) -> float:
@@ -79,16 +79,20 @@ def region_boundary(delta1: float, dim) -> float:
     Non-increasing in d at fixed delta_1; tends to delta_1 at both ends
     of the interval.
     """
-    dm = as_dimension(dim)
-    d = dm.require_finite("region_boundary")
-    if not (0.0 < delta1 < 1.0):
-        raise ValueError("region_boundary requires delta1 in the open (0, 1)")
-    return min(1.0, delta1 + _improvement_margin(delta1, d))
+    check_open_unit(delta1=delta1)
+    return min(1.0, delta1 + _improvement_margin(delta1, as_dimension(dim)))
 
 
-def _improvement_margin(lo: float, d: int) -> float:
-    w = 2.0 * lo * (d - (d - 1) * lo)
-    return (1.0 - lo) * w / (d + w)
+def _improvement_margin(lo: float, dm: Dimension) -> float:
+    # (1 - lo) w / (1 + w) with w = 2 lo (1 - (1 - 1/d) lo).  Finite d keeps
+    # w and 1 multiplied through by d: the region-v1 bytes pin its rounding,
+    # and the form in 1/d moves the last bits of some rows.
+    if dm.is_finite:
+        d = dm.d
+        w = 2.0 * lo * (d - (d - 1) * lo)
+        return (1.0 - lo) * w / (d + w)
+    w = 2.0 * lo * (1.0 - lo)
+    return (1.0 - lo) * w / (1.0 + w)
 
 
 @dataclass(frozen=True)
@@ -109,8 +113,3 @@ def gadget_outcome(delta1: float, delta2: float, dim) -> GadgetOutcome:
         expected_copies_each=2.0 / p,
     )
 
-
-def _check(delta1: float, delta2: float):
-    for name, v in (("delta1", delta1), ("delta2", delta2)):
-        if not (0.0 <= v <= 1.0):
-            raise ValueError(f"{name} must lie in [0, 1], got {v}")

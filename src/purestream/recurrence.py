@@ -24,7 +24,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .core import Dimension, as_dimension
+from .core import Dimension, as_dimension, check_closed_unit, check_dim, check_open_unit
 
 __all__ = [
     "ITERATION_CAP",
@@ -48,6 +48,7 @@ __all__ = [
     "gate_count_estimate",
     "lower_bound_samples",
     "optimal_fidelity_asymptotic",
+    "optimal_protocol_samples",
     "tomography_sample_estimate",
 ]
 
@@ -60,7 +61,7 @@ def success_prob(delta: float, dim) -> float:
     In the infinite-dimensional limit this reduces to 1 - delta + delta^2/2.
     Strictly decreasing in both delta and d.
     """
-    _check_unit_interval(delta, "delta")
+    check_closed_unit(delta=delta)
     r = as_dimension(dim).inv
     return 1.0 - (1.0 - r) * delta + 0.5 * (1.0 - r) * delta * delta
 
@@ -71,7 +72,7 @@ def delta_map(delta: float, dim) -> float:
     Fixed points at 0 and 1; strictly below delta for delta in (0, 1);
     strictly increasing in both arguments.
     """
-    _check_unit_interval(delta, "delta")
+    check_closed_unit(delta=delta)
     if delta == 0.0 or delta == 1.0:
         return delta  # exact fixed points, immune to rounding
     r = as_dimension(dim).inv
@@ -88,7 +89,7 @@ def kappa_map(kappa: float, dim) -> float:
     which involves no cancelling subtractions, so tiny kappa (delta very
     close to 1) keeps full relative precision.
     """
-    _check_unit_interval(kappa, "kappa")
+    check_closed_unit(kappa=kappa)
     r = as_dimension(dim).inv
     num = (1.0 + 2.0 * r) * kappa + (1.0 - 2.0 * r) * kappa * kappa
     den = (1.0 + r) + (1.0 - r) * kappa * kappa
@@ -143,8 +144,7 @@ def _advance(delta: float, kappa: float, dim: Dimension) -> tuple[float, float]:
 def iterate(delta0: float, dim, n: int) -> RecurrenceTrace:
     """Iterate the recurrence n times from delta_0 in (0, 1)."""
     dim = as_dimension(dim)
-    if not (0.0 < delta0 < 1.0):
-        raise ValueError(f"delta0 must lie in (0, 1), got {delta0}")
+    check_open_unit(delta0=delta0)
     if n < 0:
         raise ValueError("n must be non-negative")
     delta, kappa = delta0, 1.0 - delta0
@@ -281,8 +281,7 @@ class FiniteDCoefficients:
 
 def finite_d_coeffs(d: int, delta: float) -> FiniteDCoefficients:
     """Coefficients (a, b, c, alpha, beta) for the finite-d iteration bound."""
-    if d < 2:
-        raise ValueError("d must be >= 2")
+    check_dim(d)
     if not (2.0 / 3.0 < delta < 1.0):
         raise ValueError(f"delta must lie in (2/3, 1), got {delta}")
     a = (d + 1) / (d + 2)
@@ -317,8 +316,7 @@ def expected_sample_complexity(delta0: float, dim, n: int) -> float:
     """Expected raw copies consumed by an n-level run: 2^n / prod_i p_i."""
     dim = as_dimension(dim)
     dim.require_finite("expected_sample_complexity")
-    if not (0.0 < delta0 < 1.0):
-        raise ValueError(f"delta0 must lie in (0, 1), got {delta0}")
+    check_open_unit(delta0=delta0)
     if n == 0:
         return 1.0
     trace = iterate(delta0, dim, n)
@@ -340,12 +338,8 @@ def sc_theorem_bound(delta: float, d: int, eps: float) -> float:
     The low-noise formula degenerates as delta -> 1/2, so the middle
     regime takes over already at delta = 1/3.
     """
-    if d < 2:
-        raise ValueError("d must be >= 2")
-    if not (0.0 < eps < 1.0):
-        raise ValueError(f"eps must lie in (0, 1), got {eps}")
-    if not (0.0 < delta < 1.0):
-        raise ValueError(f"delta must lie in (0, 1), got {delta}")
+    check_dim(d)
+    check_open_unit(eps=eps, delta=delta)
     if delta < 1.0 / 3.0:
         return 2.0 * delta / (eps * (1.0 - 2.0 * delta) ** 2)
     if delta <= 2.0 / 3.0:
@@ -362,8 +356,7 @@ def gate_count_estimate(stats, d: int) -> int:
     qubit-swaps, and one measurement.  Accepts a StreamStats or a bare
     attempt count.
     """
-    if d < 2:
-        raise ValueError("d must be >= 2")
+    check_dim(d)
     attempts = getattr(stats, "swap_attempts", stats)
     if attempts < 0:
         raise ValueError("swap attempt count must be non-negative")
@@ -376,12 +369,8 @@ def lower_bound_samples(delta: float, d: int, eps: float) -> float:
     No procedure can purify rho(delta) to output fidelity 1 - eps with
     fewer than delta (d - (d-2) delta) / (d^2 (1-delta)^2 eps) copies.
     """
-    if d < 2:
-        raise ValueError("d must be >= 2")
-    if not (0.0 < delta < 1.0):
-        raise ValueError(f"delta must lie in (0, 1), got {delta}")
-    if not (0.0 < eps < 1.0):
-        raise ValueError(f"eps must lie in (0, 1), got {eps}")
+    check_dim(d)
+    check_open_unit(delta=delta, eps=eps)
     return delta * (d - (d - 2) * delta) / (d * d * (1.0 - delta) ** 2 * eps)
 
 
@@ -391,13 +380,22 @@ def optimal_fidelity_asymptotic(delta: float, d: int, n_samples: int) -> float:
     1 - ((d-1)/d) * delta / ((1-delta)^2 (N+1)); the O(1/N^2) remainder
     is dropped, so treat this as an asymptotic reference value only.
     """
-    if d < 2:
-        raise ValueError("d must be >= 2")
+    check_dim(d)
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
-    if not (0.0 < delta < 1.0):
-        raise ValueError(f"delta must lie in (0, 1), got {delta}")
+    check_open_unit(delta=delta)
     return 1.0 - ((d - 1) / d) * delta / ((1.0 - delta) ** 2 * (n_samples + 1))
+
+
+def optimal_protocol_samples(delta: float, d: int, eps: float) -> float:
+    """Copies the optimal collective protocol needs for final error eps.
+
+    ((d-1)/d) * delta / ((1-delta)^2 eps), the N + 1 at which
+    optimal_fidelity_asymptotic reaches fidelity 1 - eps.
+    """
+    check_dim(d)
+    check_open_unit(delta=delta, eps=eps)
+    return ((d - 1) / d) * delta / (eps * (1.0 - delta) ** 2)
 
 
 def tomography_sample_estimate(
@@ -411,17 +409,8 @@ def tomography_sample_estimate(
     measurements, ~ d^3/eta^2 with single-copy ones.  The big-O constant
     is not determined by the analysis; ``constant`` = 1 by convention.
     """
-    if d < 2:
-        raise ValueError("d must be >= 2")
-    if not (0.0 < delta < 1.0):
-        raise ValueError(f"delta must lie in (0, 1), got {delta}")
-    if not (0.0 < eps < 1.0):
-        raise ValueError(f"eps must lie in (0, 1), got {eps}")
+    check_dim(d)
+    check_open_unit(delta=delta, eps=eps)
     eta = (1.0 - delta) * eps * eps / 2.0
     dpow = d**2 if collective else d**3
     return constant * dpow / (eta * eta)
-
-
-def _check_unit_interval(x: float, name: str):
-    if not (0.0 <= x <= 1.0):
-        raise ValueError(f"{name} must lie in [0, 1], got {x}")

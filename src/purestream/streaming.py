@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Dimension, Seed
+from .core import Dimension, Seed, as_generator, check_dim, check_open_unit
 from .recurrence import expected_sample_complexity, gate_count_estimate, iterate
 
 __all__ = [
@@ -37,7 +37,13 @@ __all__ = [
     "purify_recursive",
     "monte_carlo",
     "MonteCarloSummary",
+    "MAX_EXPECTED_COPIES",
 ]
+
+# monte_carlo refuses a batch whose expected total of raw copies, runs x
+# 2^n / prod p_i, exceeds this: some 8 minutes at the stack machine's
+# ~0.5 us per copy.  The README's simulate example expects 4.5e6 copies.
+MAX_EXPECTED_COPIES = 10**9
 
 
 class InvariantViolation(RuntimeError):
@@ -102,11 +108,7 @@ def as_outcomes(seed) -> "SeededOutcomes | ForcedOutcomes":
     """Normalize a Seed, int, Generator, or outcome source."""
     if hasattr(seed, "draws"):
         return seed
-    if isinstance(seed, np.random.Generator):
-        return SeededOutcomes(seed)
-    if isinstance(seed, Seed):
-        return SeededOutcomes(seed.generator())
-    return SeededOutcomes(Seed(int(seed)).generator())
+    return SeededOutcomes(as_generator(seed))
 
 
 class StackMachine:
@@ -138,8 +140,7 @@ class StackMachine:
         checked: bool = True,
         trace_hook=None,
     ):
-        if d < 2:
-            raise ValueError("d must be >= 2")
+        check_dim(d)
         self.d = d
         self.delta_table = [float(x) for x in delta_table]
         self.p_of_level = [float(p) for p in p_of_level]
@@ -376,13 +377,26 @@ def monte_carlo(
     """Aggregate `runs` independent streaming runs with per-run seed streams.
 
     Deterministic for a fixed (seed, runs), independent of `jobs`: run i
-    always draws from sub-stream i of the given seed.
+    always draws from sub-stream i of the given seed.  Raises ValueError
+    before any run when runs x expected copies exceeds MAX_EXPECTED_COPIES.
     """
     _check_protocol_args(delta0, d, n)
     if runs < 1:
         raise ValueError("runs must be >= 1")
     if n < 1:
         raise ValueError("monte_carlo requires n >= 1")
+    # in log2: log2 runs + n - sum log2 p_i.  Every p_i <= 1, so n alone is
+    # a lower bound, and testing it first keeps 2^n (at most 4^n) finite.
+    log2_copies = math.log2(runs) + n
+    theoretical_sc = None
+    if log2_copies <= math.log2(MAX_EXPECTED_COPIES):
+        theoretical_sc = expected_sample_complexity(delta0, Dimension.finite(d), n)
+        log2_copies = math.log2(runs) + math.log2(theoretical_sc)
+    if log2_copies > math.log2(MAX_EXPECTED_COPIES):
+        raise ValueError(
+            f"{runs} runs expect at least 2^{log2_copies:.1f} raw copies in all, "
+            f"over MAX_EXPECTED_COPIES = {MAX_EXPECTED_COPIES:.0e}"
+        )
     root = seed if isinstance(seed, Seed) else Seed(int(seed))
 
     if jobs > 1:
@@ -416,7 +430,7 @@ def monte_carlo(
         max_copies=int(copies.max()),
         mean_swap_attempts=float(attempts.mean()),
         max_stack_depth=depth,
-        theoretical_sc=expected_sample_complexity(delta0, Dimension.finite(d), n),
+        theoretical_sc=theoretical_sc,
         level_attempts=lev_att,
         level_successes=lev_suc,
     )
@@ -426,9 +440,7 @@ def monte_carlo(
 
 
 def _check_protocol_args(delta0: float, d: int, n: int):
-    if not (0.0 < delta0 < 1.0):
-        raise ValueError(f"delta0 must lie in (0, 1), got {delta0}")
-    if d < 2:
-        raise ValueError("d must be >= 2")
+    check_open_unit(delta0=delta0)
+    check_dim(d)
     if n < 0:
         raise ValueError("n must be non-negative")

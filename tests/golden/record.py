@@ -53,6 +53,22 @@ CLI_CASES = [
     ["simon", "--m", "2,3,4", "--delta", "0.5", "--trials", "6", "--budget", "100",
      "--seed", "11"],
     ["mixedness", "--d", "2", "--trials", "20", "--reps", "10", "--seed", "5"],
+    ["recurrence", "--d", "20,50,100,inf", "--delta0", "0.99", "--iters", "60"],
+    # bounds at the README point, a low-noise and a high-noise point, as
+    # text and as JSON (the last two arguments make each test id)
+    *(
+        ["bounds", "--d", d, "--delta0", delta0, "--eps", eps]
+        for d, delta0, eps in (("2", "0.9", "1e-2"), ("3", "0.1", "1e-6"), ("8", "0.95", "1e-3"))
+    ),
+    *(
+        ["bounds", "--format", "json", "--eps", eps, "--delta0", delta0, "--d", d]
+        for d, delta0, eps in (("2", "0.9", "1e-2"), ("3", "0.1", "1e-6"), ("8", "0.95", "1e-3"))
+    ),
+    # the default --d-list, which includes d = inf
+    ["region", "--resolution", "200"],
+    ["region", "--d-list", "2,3,6", "--resolution", "20"],
+    ["verify", "--seed", "9", "--trials", "200", "--d", "5"],
+    ["verify", "--seed", "9", "--trials", "200", "--d", "16"],
 ]
 
 

@@ -14,6 +14,17 @@ def run_cli(args):
     return main(args)
 
 
+def run_cli_process(argv, timeout):
+    """Run the CLI in a fresh interpreter; a hang fails the test at timeout."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "purestream.cli", *argv],
+        env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True, text=True, timeout=timeout,
+    )
+
+
 def read_csv(path):
     meta = {}
     rows = []
@@ -111,6 +122,15 @@ class TestRegionCommand:
             for a, b in zip(vals, vals[1:]):
                 assert b <= a + 1e-15
 
+    def test_default_includes_exact_infinite_d(self, tmp_path):
+        out = tmp_path / "r3.csv"
+        assert run_cli(["region", "--resolution", "199", "--out", str(out)]) == 0
+        meta, _, rows = read_csv(out)
+        assert meta["schema"] == "region-v2"
+        assert json.loads(meta["params"])["d_list"] == ["2", "3", "6", "inf"]
+        inf_rows = {float(r[1]): float(r[2]) for r in rows if r[0] == "inf"}
+        assert len(inf_rows) == 199
+        assert inf_rows[0.5] == 2 / 3  # 1/2 + (1/2)(1/2)/(3/2), exactly
 
 class TestSimulateCommand:
     def test_summary_and_reproducibility(self, tmp_path):
@@ -282,6 +302,26 @@ class TestOverflow:
         assert err.startswith("error: numeric overflow")
         assert "Traceback" not in err
 
+    def test_underflow_is_usage_error(self, capsys):
+        # (1 - delta0) eps^2 / 2 squared underflows to 0 in the tomography
+        # estimate; the command must not leak the ZeroDivisionError
+        assert run_cli(["bounds", "--d", "2", "--delta0", "0.9", "--eps", "1e-300"]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: numeric error: float division by zero")
+        assert "Traceback" not in err
+
+
+class TestNoHang:
+    # each would run for hours; the copy cap must refuse it before any run
+    @pytest.mark.parametrize("levels", ["30", "2000"])
+    def test_huge_simulation_refused_at_once(self, levels):
+        argv = ["simulate", "--d", "2", "--delta0", "0.3", "--levels", levels, "--runs", "1"]
+        proc = run_cli_process(argv, timeout=20)
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("error: 1 runs expect at least 2^")
+        assert "MAX_EXPECTED_COPIES" in proc.stderr
+
 
 class TestParserReuse:
     VERIFY = ["verify", "--d", "4", "--trials", "5", "--seed", "3"]
@@ -290,13 +330,8 @@ class TestParserReuse:
 
     @staticmethod
     def fresh_process_output(argv):
-        src = str(Path(__file__).resolve().parent.parent / "src")
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-        done = subprocess.run(
-            [sys.executable, "-m", "purestream.cli", *argv],
-            env=dict(os.environ, PYTHONPATH=path),
-            capture_output=True, text=True, check=True, timeout=120,
-        )
+        done = run_cli_process(argv, timeout=120)
+        assert done.returncode == 0, done.stderr
         return done.stdout
 
     def test_one_parser_serves_calls_in_sequence(self, capsys):

@@ -5,11 +5,13 @@ import pytest
 
 from purestream.core import (
     INFINITE,
-    DepolarizedState,
     Dimension,
-    ErrorParam,
     Seed,
     as_dimension,
+    as_generator,
+    check_closed_unit,
+    check_dim,
+    check_open_unit,
     fidelity_of_output,
 )
 
@@ -42,34 +44,6 @@ class TestDimension:
             as_dimension(2.5)
 
 
-class TestErrorParam:
-    def test_kappa_accessor(self):
-        ep = ErrorParam(0.25)
-        assert ep.kappa == 0.75
-        assert ErrorParam.from_kappa(0.75).delta == 0.25
-
-    @pytest.mark.parametrize("bad", [-0.1, 1.1, 2.0])
-    def test_out_of_range_rejected_not_clamped(self, bad):
-        with pytest.raises(ValueError):
-            ErrorParam(bad)
-        with pytest.raises(ValueError):
-            ErrorParam.from_kappa(bad)
-
-    def test_endpoints_allowed(self):
-        assert ErrorParam(0.0).kappa == 1.0
-        assert ErrorParam(1.0).kappa == 0.0
-
-
-class TestDepolarizedState:
-    def test_requires_finite_dim(self):
-        with pytest.raises(ValueError):
-            DepolarizedState(ErrorParam(0.5), INFINITE)
-
-    def test_create(self):
-        st = DepolarizedState.create(0.1, 4)
-        assert st.fidelity == pytest.approx(0.925)
-
-
 class TestSeed:
     def test_same_pair_reproduces_stream(self):
         a = Seed(123, 7).generator().random(32)
@@ -95,6 +69,43 @@ class TestSeed:
             Seed(2**64)
         with pytest.raises(ValueError):
             Seed(0, -1)
+
+
+class TestAsGenerator:
+    def test_generator_passes_through(self):
+        rng = np.random.default_rng(1)
+        assert as_generator(rng) is rng
+
+    def test_seed_and_int_give_the_seed_stream(self):
+        want = Seed(42).generator().random(8)
+        assert np.array_equal(as_generator(Seed(42)).random(8), want)
+        assert np.array_equal(as_generator(42).random(8), want)
+        assert np.array_equal(as_generator(np.int64(42)).random(8), want)
+        child = Seed(42, 3).generator().random(8)
+        assert np.array_equal(as_generator(Seed(42, 3)).random(8), child)
+
+
+class TestChecks:
+    def test_closed_unit_admits_endpoints(self):
+        check_closed_unit(a=0.0, b=1.0, c=0.5)
+
+    @pytest.mark.parametrize("bad", [-0.1, 1.1, float("nan")])
+    def test_closed_unit_rejects_by_name(self, bad):
+        with pytest.raises(ValueError, match=r"^delta2 must lie in \[0, 1\], got"):
+            check_closed_unit(delta1=0.5, delta2=bad)
+
+    @pytest.mark.parametrize("bad", [0.0, 1.0, float("nan")])
+    def test_open_unit_rejects_endpoints(self, bad):
+        check_open_unit(eps=1e-300, delta=0.999)
+        with pytest.raises(ValueError, match=r"^eps must lie in \(0, 1\), got"):
+            check_open_unit(eps=bad)
+
+    def test_dim(self):
+        check_dim(2)
+        with pytest.raises(ValueError, match="^d must be >= 2, got 1"):
+            check_dim(1)
+        with pytest.raises(ValueError, match="^d must be >= 2, got 1"):
+            Dimension(1)
 
 
 class TestFidelity:

@@ -54,9 +54,16 @@ class TestSwapOutputDelta:
         for d in (2, 5, 11):
             assert swap_output_delta(1.0, 1.0, d) == pytest.approx(1.0, abs=1e-15)
 
-    def test_rejects_infinite(self):
-        with pytest.raises(ValueError):
-            swap_output_delta(0.2, 0.3, INFINITE)
+    def test_infinite_limit(self):
+        # at d = inf the mixed parts never overlap: ((d1 + d2)/2) / (1 + k1 k2)
+        assert swap_output_delta(0.2, 0.3, INFINITE) == pytest.approx(
+            0.25 / (1 + 0.8 * 0.7), abs=1e-15
+        )
+        assert swap_output_delta(0.2, 0.3, "inf") == swap_output_delta(0.2, 0.3, INFINITE)
+        for delta in (0.1, 0.5, 0.9):
+            assert swap_output_delta(delta, delta, INFINITE) == pytest.approx(
+                delta_map(delta, INFINITE), abs=1e-15
+            )
 
     @given(d1=st.floats(0.0, 1.0), d2=st.floats(0.0, 1.0), d=st.integers(2, 100))
     @settings(max_examples=150, deadline=None)
@@ -89,7 +96,7 @@ class TestImprovesBoth:
 
     def test_agrees_with_direct_comparison(self):
         grid = [i / 41 for i in range(1, 41)]
-        for d in (2, 6):
+        for d in (2, 6, INFINITE):
             for d1 in grid:
                 for d2 in grid:
                     direct = swap_output_delta(d1, d2, d) < min(d1, d2)
@@ -112,6 +119,14 @@ class TestRegionBoundary:
 
     def test_clamped_to_one(self):
         assert region_boundary(0.999999, 2) <= 1.0
+
+    def test_infinite_limit(self):
+        # margin (1 - lo) w / (1 + w), w = 2 lo (1 - lo): 2/3 at lo = 1/2
+        assert region_boundary(0.5, INFINITE) == pytest.approx(2 / 3, abs=1e-15)
+        for d1 in (0.01, 0.2, 0.5, 0.8, 0.99):
+            limit = region_boundary(d1, INFINITE)
+            assert limit <= region_boundary(d1, 10**6) + 1e-15
+            assert limit == pytest.approx(region_boundary(d1, 10**9), abs=1e-8)
 
 
 class TestGadgetOutcome:

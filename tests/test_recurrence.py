@@ -23,6 +23,7 @@ from purestream.recurrence import (
     n_upper_finite_d,
     n_upper_inf,
     optimal_fidelity_asymptotic,
+    optimal_protocol_samples,
     sc_theorem_bound,
     success_prob,
     tomography_sample_estimate,
@@ -368,6 +369,16 @@ class TestReferenceFormulas:
         delta, n = 0.3, 49
         expected = 1 - delta / (2 * (n + 1) * (1 - delta) ** 2)
         assert optimal_fidelity_asymptotic(delta, 2, n) == pytest.approx(expected, rel=1e-14)
+
+    def test_optimal_protocol_samples_inverts_fidelity(self):
+        # the sample count at which the optimal fidelity reaches 1 - eps
+        for delta, d, eps in ((0.9, 2, 1e-2), (0.3, 5, 1e-4)):
+            n = optimal_protocol_samples(delta, d, eps)
+            assert optimal_fidelity_asymptotic(delta, d, n - 1) == pytest.approx(
+                1 - eps, abs=1e-14
+            )
+        with pytest.raises(ValueError):
+            optimal_protocol_samples(0.3, 2, 0.0)
 
     def test_large_n_limit(self):
         assert optimal_fidelity_asymptotic(0.5, 2, 10**9) == pytest.approx(1.0, abs=1e-6)

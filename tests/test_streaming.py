@@ -5,6 +5,7 @@ from purestream.core import Dimension, Seed
 from purestream.recurrence import iterate
 from purestream.streaming import (
     ForcedOutcomes,
+    MAX_EXPECTED_COPIES,
     InvariantViolation,
     SeededOutcomes,
     StackMachine,
@@ -209,6 +210,16 @@ class TestMonteCarlo:
         assert len(summary.level_attempts) == 3
         # every attempt at the top level belongs to a run that reached it
         assert summary.level_attempts[0] >= summary.level_attempts[1]
+
+    def test_copy_cap(self):
+        # the README example (5 levels) expects 4.5e6 copies and 14 levels
+        # 2.3e9; 2.0 ** 2000 would overflow, and 10^9 levels must be refused
+        # without iterating the recurrence that far
+        ps = iterate(0.3, Dimension.finite(2), 14).ps
+        assert 10**5 * 2**14 / np.prod(ps) > MAX_EXPECTED_COPIES
+        for n, runs in ((14, 10**5), (2000, 1), (10**9, 1)):
+            with pytest.raises(ValueError, match="MAX_EXPECTED_COPIES"):
+                monte_carlo(0.3, 2, n, runs, Seed(0))
 
     def test_rejects_bad_args(self):
         with pytest.raises(ValueError):

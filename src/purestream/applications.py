@@ -23,7 +23,7 @@ import numpy as np
 
 from .core import Dimension, as_generator, check_dim, check_open_unit
 from .recurrence import iterate, iterations_to, success_prob
-from .streaming import SeededOutcomes, StackMachine
+from .streaming import SeededOutcomes, StackMachine, protocol_trace
 
 __all__ = [
     "SimonInstance",
@@ -150,17 +150,17 @@ class _PurifiedSampler:
     uniform over all of {0,1}^m.
     """
 
-    def __init__(self, instance: SimonInstance, eps_target: float, checked: bool = True):
+    def __init__(self, instance: SimonInstance, eps_target: float):
         if not (0.0 < eps_target < instance.oracle_delta):
             raise ValueError("eps_target must lie in (0, oracle_delta)")
         self.instance = instance
         self.d = instance.oracle_dim
         self.n = iterations_to(instance.oracle_delta, Dimension.finite(self.d), eps_target)
-        trace = iterate(instance.oracle_delta, Dimension.finite(self.d), self.n)
+        # capped per sample: the budget is a ceiling a trial seldom reaches
+        trace = protocol_trace(instance.oracle_delta, self.d, self.n)
         self.deltas = trace.deltas
         self.ps = trace.ps
         self.final_delta = trace.final_delta
-        self.checked = checked
         # Lowest set bit of s: flipping it maps y with y.s = 1 onto s-perp.
         self.fix_bit = instance.s_mask & -instance.s_mask
 
@@ -171,12 +171,7 @@ class _PurifiedSampler:
         return y
 
     def sample(self, rng: np.random.Generator) -> tuple[int, int]:
-        machine = StackMachine(
-            self.d, self.deltas, self.ps, SeededOutcomes(rng), checked=self.checked
-        )
-        stats = machine.run()
-        if stats.max_stack_depth > self.n + 1:
-            raise RuntimeError("stack machine exceeded its memory bound")
+        stats = StackMachine(self.d, self.deltas, self.ps, SeededOutcomes(rng)).run()
         if rng.random() < self.final_delta:
             y = int(rng.integers(0, 1 << self.instance.m))  # depolarized branch
         else:
@@ -197,7 +192,6 @@ def solve_simon(
     eps_target: float,
     budget: int,
     rng,
-    checked: bool = True,
 ) -> SimonResult:
     """Recover the hidden string from purified samples.
 
@@ -212,7 +206,7 @@ def solve_simon(
     if budget < 1:
         raise ValueError("budget must be >= 1")
     rng = as_generator(rng)
-    sampler = _PurifiedSampler(instance, eps_target, checked=checked)
+    sampler = _PurifiedSampler(instance, eps_target)
     m = instance.m
 
     queries = 0

@@ -28,6 +28,11 @@ EXIT_USAGE = 1
 EXIT_VALIDATION = 2
 EXIT_BUDGET = 3
 
+# region builds its whole CSV in memory: 10^5 grid points at the default
+# four dimensions make 16 MB of output in about 2 s
+MAX_RESOLUTION = 10**5
+
+
 class _UsageExit(Exception):
     pass
 
@@ -148,6 +153,8 @@ def cmd_bounds(args) -> int:
 
 
 def cmd_region(args) -> int:
+    if args.resolution > MAX_RESOLUTION:
+        raise _UsageExit(f"--resolution must be at most {MAX_RESOLUTION}, got {args.resolution}")
     dims = _parse_dims(args.d_list)
     params = {"d_list": [str(dm) for dm in dims], "resolution": args.resolution}
     rows = []
@@ -347,14 +354,14 @@ def build_parser() -> _Parser:
             "--jobs",
             type=_positive_int,
             default=1,
-            help="parallel workers for simulate (other commands ignore it); "
-            "results are independent of the split",
+            help="parallel workers for simulate, at most one per CPU (other commands "
+            "ignore it); results are independent of the split",
         )
 
     p = sub.add_parser("recurrence", help="error/success-probability curves")
     p.add_argument("--d", default="20,50,100,inf", help="comma list of dimensions")
     p.add_argument("--delta0", type=float, default=0.99)
-    p.add_argument("--iters", type=int, default=60)
+    p.add_argument("--iters", type=int, default=60, help="at most recurrence.ITERATION_CAP")
     common(p)
     p.set_defaults(func=cmd_recurrence)
 
@@ -368,7 +375,9 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("region", help="improvement-region boundary grid")
     p.add_argument("--d-list", default="2,3,6,inf")
-    p.add_argument("--resolution", type=_positive_int, default=200)
+    p.add_argument(
+        "--resolution", type=_positive_int, default=200, help=f"at most {MAX_RESOLUTION}"
+    )
     common(p)
     p.set_defaults(func=cmd_region)
 

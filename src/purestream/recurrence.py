@@ -142,11 +142,13 @@ def _advance(delta: float, kappa: float, dim: Dimension) -> tuple[float, float]:
 
 
 def iterate(delta0: float, dim, n: int) -> RecurrenceTrace:
-    """Iterate the recurrence n times from delta_0 in (0, 1)."""
+    """Iterate the recurrence n times from delta_0 in (0, 1), n <= ITERATION_CAP."""
     dim = as_dimension(dim)
     check_open_unit(delta0=delta0)
     if n < 0:
         raise ValueError("n must be non-negative")
+    if n > ITERATION_CAP:
+        raise ValueError(f"n must be at most ITERATION_CAP = {ITERATION_CAP}, got {n}")
     delta, kappa = delta0, 1.0 - delta0
     deltas = [delta]
     kappas = [kappa]

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import Dimension, Seed, as_generator, check_dim, check_open_unit
-from .recurrence import expected_sample_complexity, gate_count_estimate, iterate
+from .recurrence import RecurrenceTrace, expected_sample_complexity, gate_count_estimate, iterate
 
 __all__ = [
     "StreamStats",
@@ -38,16 +38,50 @@ __all__ = [
     "monte_carlo",
     "MonteCarloSummary",
     "MAX_EXPECTED_COPIES",
+    "protocol_trace",
 ]
 
-# monte_carlo refuses a batch whose expected total of raw copies, runs x
+# protocol_trace refuses runs whose expected total of raw copies, runs x
 # 2^n / prod p_i, exceeds this: some 8 minutes at the stack machine's
 # ~0.5 us per copy.  The README's simulate example expects 4.5e6 copies.
 MAX_EXPECTED_COPIES = 10**9
 
+# SeededOutcomes draws its uniforms in blocks of FIRST_BLOCK, doubling up
+# to MAX_BLOCK; the goldens pin this schedule.
+FIRST_BLOCK = 128
+MAX_BLOCK = 8192
+
+
+def protocol_trace(delta0: float, d: int, n: int, runs: int = 1) -> RecurrenceTrace:
+    """Recurrence tables for `runs` runs of the n-level protocol.
+
+    The one entry check of every protocol run: validates the arguments
+    and raises ValueError when runs x 2^n / prod p_i, the expected total
+    of raw copies, exceeds MAX_EXPECTED_COPIES.
+    """
+    check_open_unit(delta0=delta0)
+    check_dim(d)
+    if n < 0:
+        raise ValueError("n must be non-negative")
+    if runs < 1:
+        raise ValueError("runs must be >= 1")
+    # in log2: log2 runs + n - sum log2 p_i.  Every p_i <= 1, so n alone is
+    # a lower bound, and testing it first keeps the recurrence short.
+    log2_cap = math.log2(MAX_EXPECTED_COPIES)
+    log2_copies = math.log2(runs) + n
+    if log2_copies <= log2_cap:
+        trace = iterate(delta0, Dimension.finite(d), n)
+        log2_copies -= sum(map(math.log2, trace.ps))
+    if log2_copies > log2_cap:
+        raise ValueError(
+            f"{runs} runs expect at least 2^{log2_copies:.1f} raw copies in all, "
+            f"over MAX_EXPECTED_COPIES = {MAX_EXPECTED_COPIES:.0e}"
+        )
+    return trace
+
 
 class InvariantViolation(RuntimeError):
-    """A checked structural invariant of the stack machine was broken."""
+    """A structural invariant of the stack machine was broken."""
 
 
 @dataclass(frozen=True)
@@ -68,21 +102,21 @@ class StreamStats:
 class SeededOutcomes:
     """Outcome stream backed by a seeded PRNG.
 
-    ``draws`` yields the generator's uniform floats from blocks that double
-    in size up to ``max_block``: the first is drawn here, each later one
-    when the previous runs out.  A fixed seed reproduces runs bit-for-bit,
-    also when several machines share one generator in turn.
+    ``draws`` yields the generator's uniform floats from blocks of
+    FIRST_BLOCK that double in size up to MAX_BLOCK: the first is drawn
+    here, each later one when the previous runs out.  A fixed seed
+    reproduces runs bit-for-bit, also when several machines share one
+    generator in turn.
     """
 
     __slots__ = ("draws",)
 
-    def __init__(self, rng: np.random.Generator, block: int = 128, max_block: int = 8192):
-        first = rng.random(block).tolist()
-        later = (rng.random(min(block << j, max_block)).tolist() for j in itertools.count(1))
+    def __init__(self, rng: np.random.Generator):
+        first = rng.random(FIRST_BLOCK).tolist()
+        later = (
+            rng.random(min(FIRST_BLOCK << j, MAX_BLOCK)).tolist() for j in itertools.count(1)
+        )
         self.draws = itertools.chain.from_iterable(itertools.chain([first], later))
-
-    def bernoulli(self, p: float) -> bool:
-        return next(self.draws) < p
 
 
 class ForcedOutcomes:
@@ -91,9 +125,6 @@ class ForcedOutcomes:
     def __init__(self, outcomes):
         forced = (0.0 if outcome else 1.0 for outcome in outcomes)
         self.draws = itertools.chain(forced, iter(_exhausted, None))
-
-    def bernoulli(self, p: float) -> bool:
-        return next(self.draws) < p
 
 
 def _exhausted():
@@ -125,21 +156,13 @@ class StackMachine:
     followed by one level-0 test (copies = 2 * level_attempts[0]), and the
     run ends at the first top-level success.
 
-    Structural invariants (enforced whenever ``checked`` is true):
-    levels on the stack are non-increasing with at most one equality,
-    a swap test only ever sees two cells of equal level, and the stack
-    pointer never exceeds n + 1.
+    Structural invariants (always enforced): levels on the stack are
+    non-increasing with at most one equality, a swap test only ever sees
+    two cells of equal level, and the stack pointer never exceeds n + 1.
+    A finished run has held n + 1 cells, so its max_stack_depth is n + 1.
     """
 
-    def __init__(
-        self,
-        d: int,
-        delta_table,
-        p_of_level,
-        outcomes,
-        checked: bool = True,
-        trace_hook=None,
-    ):
+    def __init__(self, d: int, delta_table, p_of_level, outcomes, trace_hook=None):
         check_dim(d)
         self.d = d
         self.delta_table = [float(x) for x in delta_table]
@@ -148,7 +171,6 @@ class StackMachine:
         if len(self.p_of_level) != self.n:
             raise ValueError("need one success probability per level transition")
         self.outcomes = as_outcomes(outcomes)
-        self.checked = checked
         self.trace_hook = trace_hook
         # run artifacts
         self.level_attempts = [0] * max(self.n, 1)
@@ -157,9 +179,7 @@ class StackMachine:
 
     @classmethod
     def for_protocol(cls, delta0: float, d: int, n: int, outcomes, **kwargs):
-        trace = iterate(delta0, Dimension.finite(d), n) if n > 0 else None
-        if trace is None:
-            return cls(d, [delta0], [], outcomes, **kwargs)
+        trace = protocol_trace(delta0, d, n)
         return cls(d, trace.deltas, trace.ps, outcomes, **kwargs)
 
     def run(self) -> StreamStats:
@@ -175,14 +195,12 @@ class StackMachine:
 
         p_of_level = self.p_of_level
         draw = self.outcomes.draws.__next__
-        checked = self.checked
         hook = self.trace_hook
         level_attempts = self.level_attempts
         level_successes = self.level_successes
 
         purity = [-1] * (n + 3)
         k = 0
-        max_k = 0
 
         while True:
             # Fetch two fresh copies onto the stack.
@@ -190,26 +208,23 @@ class StackMachine:
             purity[k] = 0
             k += 1
             purity[k] = 0
-            if k > max_k:
-                max_k = k
-            if checked:
-                if k > n + 1:
-                    raise InvariantViolation(f"stack depth {k} exceeds n+1 = {n + 1}")
-                if k >= 3 and purity[k - 2] <= 0:
-                    raise InvariantViolation("cell below a fresh pair must outrank it")
+            if k > n + 1:
+                raise InvariantViolation(f"stack depth {k} exceeds n+1 = {n + 1}")
+            if k >= 3 and purity[k - 2] <= 0:
+                raise InvariantViolation("cell below a fresh pair must outrank it")
             if hook is not None:
                 hook(purity, k)
 
             while True:
                 lev = purity[k]
-                if checked and purity[k - 1] != lev:
+                if purity[k - 1] != lev:
                     raise InvariantViolation("swap test on cells of unequal level")
                 level_attempts[lev] += 1
                 if draw() < p_of_level[lev]:
                     level_successes[lev] += 1
                     k -= 1
                     purity[k] = lev + 1
-                    if checked and k >= 2:
+                    if k >= 2:
                         below = purity[k - 1]
                         if below < lev + 1:
                             raise InvariantViolation("stack levels must not increase")
@@ -233,41 +248,29 @@ class StackMachine:
         return StreamStats(
             copies_consumed=2 * level_attempts[0],
             swap_attempts=attempts,
-            max_stack_depth=max_k,
+            max_stack_depth=n + 1,
             final_delta=self.delta_table[n],
             gate_count=gate_count_estimate(attempts, self.d),
         )
 
 
-def purify_streaming(
-    delta0: float, d: int, n: int, seed, checked: bool = True
-) -> StreamStats:
+def purify_streaming(delta0: float, d: int, n: int, seed) -> StreamStats:
     """One stack-machine run of the n-level protocol; see StackMachine."""
-    _check_protocol_args(delta0, d, n)
-    machine = StackMachine.for_protocol(delta0, d, n, seed, checked=checked)
-    return machine.run()
+    return StackMachine.for_protocol(delta0, d, n, seed).run()
 
 
-_RECURSION_CAP = 400
-
-
-def purify_recursive(delta0: float, d: int, n: int, seed, checked: bool = True) -> StreamStats:
+def purify_recursive(delta0: float, d: int, n: int, seed) -> StreamStats:
     """Recursive formulation of the same protocol.
 
     Level i is built by repeatedly constructing two level-(i-1) states
     and swap-testing them until the test succeeds.  Realizes the same
     copies/attempts distribution as the stack machine; kept as an
-    independent implementation for cross-validation.
+    independent implementation for cross-validation.  Its recursion is
+    n deep, and the copy cap keeps n below 30.
     """
-    _check_protocol_args(delta0, d, n)
-    if n > _RECURSION_CAP:
-        raise ValueError(f"recursive variant is guarded to n <= {_RECURSION_CAP}")
-    if n == 0:
-        return StreamStats(1, 0, 1, delta0, 0)
-
-    trace = iterate(delta0, Dimension.finite(d), n)
+    trace = protocol_trace(delta0, d, n)
     p_of_level = trace.ps
-    bern = as_outcomes(seed).bernoulli
+    draw = as_outcomes(seed).draws.__next__
 
     copies = 0
     attempts = 0
@@ -287,12 +290,12 @@ def purify_recursive(delta0: float, d: int, n: int, seed, checked: bool = True) 
             build(level - 1)
             attempts += 1
             held -= 2
-            if bern(p_of_level[level - 1]):
+            if draw() < p_of_level[level - 1]:
                 held += 1
                 return
 
     build(n)
-    if checked and max_held > n + 1:
+    if max_held > n + 1:
         raise InvariantViolation(f"held {max_held} states, bound is n+1 = {n + 1}")
     return StreamStats(
         copies_consumed=copies,
@@ -334,34 +337,23 @@ class MonteCarloSummary:
         return (self.mean_copies - self.theoretical_sc) / se
 
 
-def _mc_run_range(delta0, d, n, seed: Seed, lo, hi, checked):
-    trace = iterate(delta0, Dimension.finite(d), n)
+def _mc_run_range(d, trace: RecurrenceTrace, seed: Seed, lo, hi):
+    n = len(trace.ps)
     copies = np.empty(hi - lo, dtype=np.int64)
     attempts = np.empty(hi - lo, dtype=np.int64)
-    depth = 0
     lev_att = [0] * n
     lev_suc = [0] * n
     for i in range(lo, hi):
         machine = StackMachine(
-            d,
-            trace.deltas,
-            trace.ps,
-            SeededOutcomes(seed.child_generator(i)),
-            checked=checked,
+            d, trace.deltas, trace.ps, SeededOutcomes(seed.child_generator(i))
         )
         st = machine.run()
         copies[i - lo] = st.copies_consumed
         attempts[i - lo] = st.swap_attempts
-        if st.max_stack_depth > depth:
-            depth = st.max_stack_depth
         for lv in range(n):
             lev_att[lv] += machine.level_attempts[lv]
             lev_suc[lv] += machine.level_successes[lv]
-    return copies, attempts, depth, lev_att, lev_suc
-
-
-def _mc_worker(args):
-    return _mc_run_range(*args)
+    return copies, attempts, lev_att, lev_suc
 
 
 def monte_carlo(
@@ -371,7 +363,6 @@ def monte_carlo(
     runs: int,
     seed,
     jobs: int = 1,
-    checked: bool = True,
     keep_samples: bool = False,
 ):
     """Aggregate `runs` independent streaming runs with per-run seed streams.
@@ -380,44 +371,29 @@ def monte_carlo(
     always draws from sub-stream i of the given seed.  Raises ValueError
     before any run when runs x expected copies exceeds MAX_EXPECTED_COPIES.
     """
-    _check_protocol_args(delta0, d, n)
-    if runs < 1:
-        raise ValueError("runs must be >= 1")
+    trace = protocol_trace(delta0, d, n, runs)
     if n < 1:
         raise ValueError("monte_carlo requires n >= 1")
-    # in log2: log2 runs + n - sum log2 p_i.  Every p_i <= 1, so n alone is
-    # a lower bound, and testing it first keeps 2^n (at most 4^n) finite.
-    log2_copies = math.log2(runs) + n
-    theoretical_sc = None
-    if log2_copies <= math.log2(MAX_EXPECTED_COPIES):
-        theoretical_sc = expected_sample_complexity(delta0, Dimension.finite(d), n)
-        log2_copies = math.log2(runs) + math.log2(theoretical_sc)
-    if log2_copies > math.log2(MAX_EXPECTED_COPIES):
-        raise ValueError(
-            f"{runs} runs expect at least 2^{log2_copies:.1f} raw copies in all, "
-            f"over MAX_EXPECTED_COPIES = {MAX_EXPECTED_COPIES:.0e}"
-        )
+    theoretical_sc = expected_sample_complexity(delta0, Dimension.finite(d), n)
     root = seed if isinstance(seed, Seed) else Seed(int(seed))
 
     if jobs > 1:
         import multiprocessing
 
-        bounds = np.linspace(0, runs, jobs + 1).astype(int)
-        chunks = [
-            (delta0, d, n, root, int(lo), int(hi), checked)
-            for lo, hi in zip(bounds[:-1], bounds[1:])
-            if hi > lo
-        ]
-        with multiprocessing.Pool(min(jobs, len(chunks))) as pool:
-            parts = pool.map(_mc_worker, chunks)
+        # the results do not depend on the split, so more workers than
+        # CPUs or runs would only start more processes
+        workers = min(jobs, runs, multiprocessing.cpu_count())
+        bounds = np.linspace(0, runs, workers + 1).astype(int)
+        chunks = [(d, trace, root, int(lo), int(hi)) for lo, hi in zip(bounds[:-1], bounds[1:])]
+        with multiprocessing.Pool(workers) as pool:
+            parts = pool.starmap(_mc_run_range, chunks)
     else:
-        parts = [_mc_run_range(delta0, d, n, root, 0, runs, checked)]
+        parts = [_mc_run_range(d, trace, root, 0, runs)]
 
     copies = np.concatenate([p[0] for p in parts])
     attempts = np.concatenate([p[1] for p in parts])
-    depth = max(p[2] for p in parts)
-    lev_att = tuple(int(sum(p[3][lv] for p in parts)) for lv in range(n))
-    lev_suc = tuple(int(sum(p[4][lv] for p in parts)) for lv in range(n))
+    lev_att = tuple(int(sum(p[2][lv] for p in parts)) for lv in range(n))
+    lev_suc = tuple(int(sum(p[3][lv] for p in parts)) for lv in range(n))
 
     summary = MonteCarloSummary(
         delta0=delta0,
@@ -429,7 +405,7 @@ def monte_carlo(
         min_copies=int(copies.min()),
         max_copies=int(copies.max()),
         mean_swap_attempts=float(attempts.mean()),
-        max_stack_depth=depth,
+        max_stack_depth=n + 1,
         theoretical_sc=theoretical_sc,
         level_attempts=lev_att,
         level_successes=lev_suc,
@@ -437,10 +413,3 @@ def monte_carlo(
     if keep_samples:
         return summary, copies
     return summary
-
-
-def _check_protocol_args(delta0: float, d: int, n: int):
-    check_open_unit(delta0=delta0)
-    check_dim(d)
-    if n < 0:
-        raise ValueError("n must be non-negative")

@@ -6,12 +6,14 @@ batteries run once in module-scoped fixtures and are shared by the
 criteria that quantify over them.
 """
 
+import math
 import time
 from contextlib import contextmanager
 
 import numpy as np
 import pytest
 
+from copy_moments import copies_moments
 from purestream.core import INFINITE, Dimension, Seed
 from purestream.dense_oracle import (
     make_depolarized,
@@ -65,19 +67,19 @@ SIMON_SEED_ROOT = 77
 
 @pytest.fixture(scope="module")
 def mc_summaries():
-    """Criterion-7 batteries, run once with checked invariants."""
+    """Criterion-7 batteries, run once; every run checks the stack invariants."""
     start = time.perf_counter()
     out = []
     for idx, (delta0, d, n) in enumerate(MC_SETTINGS, start=1):
         out.append(
-            monte_carlo(delta0, d, n, MC_RUNS, Seed(MC_SEED_ROOT, idx), checked=True)
+            monte_carlo(delta0, d, n, MC_RUNS, Seed(MC_SEED_ROOT, idx))
         )
     return out, time.perf_counter() - start
 
 
 @pytest.fixture(scope="module")
 def simon_battery():
-    """Criterion-9 battery: 200 checked trials at m = 4."""
+    """Criterion-9 battery: 200 trials at m = 4."""
     start = time.perf_counter()
     results = []
     root = Seed(SIMON_SEED_ROOT)
@@ -86,7 +88,7 @@ def simon_battery():
         s_mask = int(rng.integers(1, 1 << SIMON_M))
         inst = apps.SimonInstance(SIMON_M, format(s_mask, f"0{SIMON_M}b"), SIMON_DELTA)
         results.append(
-            apps.solve_simon(inst, SIMON_EPS, SIMON_BUDGET, rng, checked=True)
+            apps.solve_simon(inst, SIMON_EPS, SIMON_BUDGET, rng)
         )
     return results, time.perf_counter() - start
 
@@ -180,16 +182,23 @@ def test_criterion_07_monte_carlo_matches_formula(mc_summaries):
     assert battery_elapsed <= 120, f"MC battery took {battery_elapsed:.0f}s > 120s"
     with criterion(7) as info:
         zs = []
+        exact_zs = []
         for summary in mc_summaries:
             assert abs(summary.z_score) <= 3.0
             zs.append(summary.z_score)
+            # the same gap in exact standard errors, from the exact variance
+            mean, var = copies_moments(iterate(summary.delta0, summary.d, summary.n).ps)
+            exact_z = (summary.mean_copies - mean) / math.sqrt(var / summary.runs)
+            assert abs(exact_z) <= 3.0
+            exact_zs.append(exact_z)
         # at delta0 = 0.3 the mean must respect the low-noise theorem bound
         low = mc_summaries[0]
         eps = iterate(low.delta0, low.d, low.n).final_delta
         case1 = 2 * low.delta0 / (eps * (1 - 2 * low.delta0) ** 2)
         assert low.mean_copies <= case1
         info["detail"] = (
-            f"z = {zs[0]:+.2f}, {zs[1]:+.2f} over {MC_RUNS} runs each "
+            f"z = {zs[0]:+.2f}, {zs[1]:+.2f} (exact sigma {exact_zs[0]:+.2f}, "
+            f"{exact_zs[1]:+.2f}) over {MC_RUNS} runs each "
             f"(battery {battery_elapsed:.0f}s); "
             f"mean {low.mean_copies:.2f} <= Case-1 bound {case1:.1f}"
         )
@@ -198,8 +207,8 @@ def test_criterion_07_monte_carlo_matches_formula(mc_summaries):
 def test_criterion_08_memory_bound_and_invariants(mc_summaries, simon_battery):
     mc_summaries, _ = mc_summaries
     with criterion(8) as info:
-        # the fixtures ran with checked=True, so any purity-order or
-        # pairing violation would have raised; re-assert the depth bound
+        # every run checks its invariants, so any purity-order or pairing
+        # violation in the fixtures would have raised; re-assert the depth bound
         for summary in mc_summaries:
             assert summary.max_stack_depth <= summary.n + 1
 

@@ -139,6 +139,12 @@ class TestSampleDistribution:
         with pytest.raises(ValueError):
             sample_purified_y(inst, 0.4, Seed(0))
 
+    def test_each_sample_is_copy_capped(self):
+        # eps = 1e-300 takes ~1000 levels, 2^1000 queries per sample
+        inst = SimonInstance(2, "10", 0.5)
+        with pytest.raises(ValueError, match="MAX_EXPECTED_COPIES"):
+            solve_simon(inst, 1e-300, budget=1, rng=Seed(0))
+
 
 class TestSolveSimon:
     def test_low_noise_reconstruction(self):

@@ -323,6 +323,50 @@ class TestNoHang:
         assert "MAX_EXPECTED_COPIES" in proc.stderr
 
 
+# Edge arguments for every subcommand.  HANG_CASES each ran for hours, or
+# leaked a MemoryError, before their caps; each must now exit 1 at once.
+HANG_CASES = [
+    ["recurrence", "--d", "2", "--delta0", "0.5", "--iters", "1000000000"],
+    ["region", "--resolution", "1000000000"],
+    ["simulate", "--d", "2", "--delta0", "0.3", "--levels", "2000", "--runs", "1"],
+    ["simon", "--m", "2", "--eps", "1e-300"],
+    ["mixedness", "--d", "2", "--eta", "1e-9", "--trials", "1"],
+]
+EDGE_CASES = [
+    ["recurrence", "--iters", "-1"],
+    ["recurrence", "--d", "2", "--delta0", "1.5"],
+    ["bounds", "--d", "2", "--delta0", "0.9", "--eps", "1e-300"],
+    ["bounds", "--d", "2", "--delta0", "0.5", "--eps", "0"],
+    ["bounds", "--d", "inf", "--delta0", "0.5", "--eps", "0.1"],
+    ["region", "--resolution", "0"],
+    ["region", "--d-list", "1"],
+    ["simulate", "--d", "2", "--delta0", "0.3", "--levels", "0"],
+    ["simulate", "--d", "2", "--delta0", "0.3", "--levels", "-1"],
+    ["simulate", "--d", "1", "--delta0", "0.3", "--levels", "2"],
+    ["simulate", "--d", "2", "--delta0", "0.3", "--levels", "2", "--runs", "-5"],
+    ["verify", "--d", "17"],
+    ["verify", "--d", "1"],
+    ["verify", "--trials", "0"],
+    ["simon", "--m", "1"],
+    ["simon", "--m", "64", "--trials", "1"],
+    ["simon", "--m", "2", "--delta", "0"],
+    ["simon", "--m", "2", "--budget", "0"],
+    ["mixedness", "--eta", "0"],
+    ["mixedness", "--reps", "-1"],
+]
+
+
+class TestFuzz:
+    @pytest.mark.parametrize("argv", HANG_CASES + EDGE_CASES, ids=" ".join)
+    def test_documented_exit_without_traceback(self, argv):
+        proc = run_cli_process(argv, timeout=20)
+        assert proc.returncode in {0, 1, 2, 3}
+        assert "Traceback" not in proc.stderr
+        if argv in HANG_CASES:
+            assert proc.returncode == 1
+            assert proc.stderr.startswith("error: ")
+
+
 class TestParserReuse:
     VERIFY = ["verify", "--d", "4", "--trials", "5", "--seed", "3"]
     SIMULATE = ["simulate", "--d", "2", "--delta0", "0.3", "--levels", "3",

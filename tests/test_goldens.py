@@ -11,7 +11,6 @@ import io
 import json
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 from purestream import cli
@@ -40,13 +39,12 @@ def run_record(machine):
     }
 
 
-@pytest.mark.parametrize("checked", [True, False])
 @pytest.mark.parametrize("point", RUNS["seeded"], ids=lambda p: str(p["point"]))
-def test_seeded_runs(point, checked):
+def test_seeded_runs(point):
     delta0, d, n = point["point"]
     for i, want in enumerate(point["runs"]):
         gen = Seed(point["seed"], i).generator()
-        machine = StackMachine.for_protocol(delta0, d, n, gen, checked=checked)
+        machine = StackMachine.for_protocol(delta0, d, n, gen)
         assert run_record(machine) == want, i
 
 
@@ -88,17 +86,6 @@ def test_streaming_equals_recursive_per_seed():
         for i in range(300)
     )
     assert mismatches == 0
-
-
-def test_bernoulli_reads_the_draw_stream():
-    a = SeededOutcomes(np.random.default_rng(3))
-    b = np.random.default_rng(3).random(200)
-    assert [a.bernoulli(0.4) for _ in range(200)] == (b < 0.4).tolist()
-    forced = ForcedOutcomes([True, False])
-    assert [forced.bernoulli(0.5), forced.bernoulli(0.5)] == [True, False]
-    for _ in range(2):  # and keeps raising once exhausted
-        with pytest.raises(RuntimeError, match="exhausted"):
-            forced.bernoulli(0.5)
 
 
 @pytest.mark.parametrize("case", CLI, ids=lambda c: " ".join(c["argv"][:1] + c["argv"][-2:]))

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from purestream.core import INFINITE, Dimension
 from purestream.recurrence import (
+    ITERATION_CAP,
     FiniteDCoefficients,
     delta_map,
     eta_bound,
@@ -152,6 +153,11 @@ class TestIterate:
         tr = iterate(1e-12, 2, 5)
         assert tr.final_delta < 1e-12
         assert all(x > 0.0 for x in tr.deltas)
+
+    @pytest.mark.parametrize("n", [ITERATION_CAP + 1, 2 * 10**9])
+    def test_cap_refused_before_iterating(self, n):
+        with pytest.raises(ValueError, match="ITERATION_CAP"):
+            iterate(0.5, 2, n)
 
 
 class TestIterationsTo:

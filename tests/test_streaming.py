@@ -1,17 +1,18 @@
 import numpy as np
 import pytest
 
+from copy_moments import copies_moments
 from purestream.core import Dimension, Seed
-from purestream.recurrence import iterate
+from purestream.recurrence import expected_sample_complexity, iterate
 from purestream.streaming import (
     ForcedOutcomes,
     MAX_EXPECTED_COPIES,
     InvariantViolation,
-    SeededOutcomes,
     StackMachine,
     StreamStats,
     always_succeed,
     monte_carlo,
+    protocol_trace,
     purify_recursive,
     purify_streaming,
 )
@@ -81,15 +82,6 @@ class TestDeterminism:
     def test_distinct_streams_differ(self):
         runs = {purify_streaming(0.55, 3, 6, Seed(99, i)).copies_consumed for i in range(8)}
         assert len(runs) > 1
-
-    def test_buffer_block_size_does_not_change_results(self):
-        a = StackMachine.for_protocol(
-            0.55, 3, 5, SeededOutcomes(Seed(5).generator(), block=2)
-        ).run()
-        b = StackMachine.for_protocol(
-            0.55, 3, 5, SeededOutcomes(Seed(5).generator(), block=4096)
-        ).run()
-        assert a == b
 
 
 class TestStructuralInvariants:
@@ -200,6 +192,30 @@ class TestMonteCarlo:
         b = monte_carlo(0.5, 2, 4, 400, Seed(23), jobs=2)
         assert a == b
 
+    def test_workers_capped_at_cpus(self, monkeypatch):
+        import multiprocessing
+
+        sizes = []
+
+        class SerialPool:
+            def __init__(self, processes):
+                sizes.append(processes)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def starmap(self, fn, chunks):
+                return [fn(*chunk) for chunk in chunks]
+
+        monkeypatch.setattr(multiprocessing, "Pool", SerialPool)
+        monkeypatch.setattr(multiprocessing, "cpu_count", lambda: 3)
+        summary = monte_carlo(0.5, 2, 3, 40, Seed(26), jobs=1000)
+        assert sizes == [3]
+        assert summary == monte_carlo(0.5, 2, 3, 40, Seed(26))
+
     def test_keep_samples(self):
         summary, samples = monte_carlo(0.5, 2, 3, 50, Seed(24), keep_samples=True)
         assert len(samples) == 50
@@ -228,3 +244,79 @@ class TestMonteCarlo:
             monte_carlo(0.5, 2, 3, 0, Seed(0))
         with pytest.raises(ValueError):
             purify_streaming(1.5, 2, 3, Seed(0))
+
+
+class TestProtocolEntry:
+    # every entry point goes through protocol_trace: one set of argument
+    # checks and one copy cap, applied before any run (monte_carlo's cap is
+    # TestMonteCarlo.test_copy_cap)
+    ENTRIES = {
+        "purify_streaming": lambda n: purify_streaming(0.3, 2, n, 1),
+        "purify_recursive": lambda n: purify_recursive(0.3, 2, n, 1),
+        "for_protocol": lambda n: StackMachine.for_protocol(0.3, 2, n, 1),
+    }
+
+    @pytest.mark.parametrize("entry", ENTRIES)
+    @pytest.mark.parametrize("n", [40, 2000, 10**9])
+    def test_copy_cap_on_every_entry(self, entry, n):
+        with pytest.raises(ValueError, match="MAX_EXPECTED_COPIES"):
+            self.ENTRIES[entry](n)
+
+    def test_trace_under_the_cap(self):
+        trace = protocol_trace(0.3, 2, 5, runs=10**5)
+        assert trace == iterate(0.3, Dimension.finite(2), 5)
+        assert protocol_trace(0.3, 2, 0).ps == ()
+
+    @pytest.mark.parametrize(
+        "args", [(0.0, 2, 3, 1), (1.0, 2, 3, 1), (0.3, 1, 3, 1), (0.3, 2, -1, 1), (0.3, 2, 3, 0)]
+    )
+    def test_rejects_bad_args(self, args):
+        with pytest.raises(ValueError):
+            protocol_trace(*args)
+
+    def test_depth_is_n_plus_one(self):
+        for n in range(4):
+            assert purify_streaming(0.6, 8, n, Seed(30, n)).max_stack_depth == n + 1
+            assert purify_recursive(0.6, 8, n, Seed(30, n)).max_stack_depth == n + 1
+        assert monte_carlo(0.6, 8, 3, 50, Seed(30)).max_stack_depth == 4
+
+
+def copies_pmf(ps, size):
+    """pmf of the copy count below `size` copies, by power-series composition.
+
+    The copy count's generating function is F_0(z) = z and
+    F_i = p_i F^2 / (1 - (1 - p_i) F^2); with G = F^2, the coefficients of
+    H = F_i solve H_k = p_i G_k + (1 - p_i) sum_{j<k} H_j G_{k-j}.
+    """
+    f = np.zeros(size)
+    f[1] = 1.0
+    for p in ps:
+        g = np.convolve(f, f)[:size]
+        h = np.zeros(size)
+        for k in range(1, size):
+            h[k] = p * g[k] + (1.0 - p) * np.dot(h[:k], g[k:0:-1])
+        f = h
+    return f
+
+
+class TestExactMoments:
+    @pytest.mark.parametrize("point", [(0.3, 2, 5), (0.6, 8, 6)])
+    def test_mean_is_expected_sample_complexity(self, point):
+        delta0, d, n = point
+        mean, _ = copies_moments(iterate(delta0, Dimension.finite(d), n).ps)
+        assert mean == pytest.approx(expected_sample_complexity(delta0, d, n), rel=1e-12)
+
+    def test_one_level_variance_is_geometric(self):
+        p = iterate(0.6, Dimension.finite(8), 1).ps[0]
+        assert copies_moments([p]) == pytest.approx((2 / p, 4 * (1 - p) / p**2), rel=1e-15)
+
+    @pytest.mark.parametrize("point", [(0.3, 2, 2), (0.3, 2, 3), (0.6, 8, 3), (0.9, 2, 3)])
+    def test_moments_match_the_exact_pmf(self, point):
+        delta0, d, n = point
+        ps = iterate(delta0, Dimension.finite(d), n).ps
+        pmf = copies_pmf(ps, 2048)
+        assert pmf.sum() == pytest.approx(1.0, abs=1e-13)
+        k = np.arange(pmf.size)
+        mean = float(k @ pmf)
+        var = float((k - mean) ** 2 @ pmf)
+        assert (mean, var) == pytest.approx(copies_moments(ps), rel=1e-10)

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import argparse
 import functools
-import io
+import itertools
 import json
 import sys
 
@@ -28,9 +28,12 @@ EXIT_USAGE = 1
 EXIT_VALIDATION = 2
 EXIT_BUDGET = 3
 
-# region builds its whole CSV in memory: 10^5 grid points at the default
-# four dimensions make 16 MB of output in about 2 s
+# 10^5 grid points at the default four dimensions make 16 MB of region
+# output in about 2 s
 MAX_RESOLUTION = 10**5
+
+# simon draws its hidden string with rng.integers(1, 2^m), which int64 bounds
+MAX_SIMON_M = 63
 
 
 class _UsageExit(Exception):
@@ -50,6 +53,13 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _m_list(text: str) -> list[int]:
+    ms = [int(tok) for tok in text.split(",") if tok.strip()]
+    if not ms or not all(2 <= m <= MAX_SIMON_M for m in ms):
+        raise argparse.ArgumentTypeError(f"must list sizes in 2..{MAX_SIMON_M}, got {text!r}")
+    return ms
+
+
 def _meta(schema: str, command: str, params: dict, seed: int | None) -> dict:
     return {
         "tool": "purestream",
@@ -61,32 +71,34 @@ def _meta(schema: str, command: str, params: dict, seed: int | None) -> dict:
     }
 
 
-def _write_text(out_path: str | None, text: str):
+def _write_lines(out_path: str | None, lines):
     if out_path in (None, "-"):
-        sys.stdout.write(text)
+        sys.stdout.writelines(lines)
     else:
         with open(out_path, "w") as fh:
-            fh.write(text)
+            fh.writelines(lines)
 
 
-def _csv(meta: dict, header: list[str], rows) -> str:
-    buf = io.StringIO()
+def _csv(meta: dict, header: list[str], rows):
+    """The lines of a CSV, made as they are written.
+
+    The first row is made here, before any byte is written, so an argument
+    error raised making it (an out-of-range --iters, say) writes nothing.
+    """
+    rows = iter(rows)
+    first = list(itertools.islice(rows, 1))
+    lines = []
     for key, value in meta.items():
         if key == "params":
             value = json.dumps(value, sort_keys=True)
-        buf.write(f"# {key}: {value}\n")
-    buf.write(",".join(header) + "\n")
-    for row in rows:
-        buf.write(",".join(_cell(x) for x in row) + "\n")
-    return buf.getvalue()
+        lines.append(f"# {key}: {value}\n")
+    lines.append(",".join(header) + "\n")
+    body = (",".join(map(_cell, row)) + "\n" for row in itertools.chain(first, rows))
+    return itertools.chain(lines, body)
 
 
 def _cell(x) -> str:
-    if x is None:
-        return ""
-    if isinstance(x, float):
-        return repr(x)
-    return str(x)
+    return "" if x is None else str(x)
 
 
 def _json_doc(meta: dict, payload: dict) -> str:
@@ -109,13 +121,13 @@ def cmd_recurrence(args) -> int:
         "delta0": args.delta0,
         "iters": args.iters,
     }
-    rows = []
-    for dm in dims:
-        trace = recurrence.iterate(args.delta0, dm, args.iters)
-        for i, delta_i, p_i in trace.entries():
-            rows.append((str(dm), i, delta_i, p_i))
+    rows = (
+        (str(dm), i, delta_i, p_i)
+        for dm in dims
+        for i, delta_i, p_i in recurrence.iterate(args.delta0, dm, args.iters).entries()
+    )
     meta = _meta("recurrence-v1", "recurrence", params, args.seed)
-    _write_text(args.out, _csv(meta, ["d", "i", "delta_i", "p_i"], rows))
+    _write_lines(args.out, _csv(meta, ["d", "i", "delta_i", "p_i"], rows))
     return EXIT_OK
 
 
@@ -141,14 +153,14 @@ def cmd_bounds(args) -> int:
     params = {"d": d, "delta0": delta0, "eps": eps}
     meta = _meta("bounds-v1", "bounds", params, args.seed)
     if args.format == "json":
-        _write_text(args.out, _json_doc(meta, {"bounds": table}))
+        _write_lines(args.out, [_json_doc(meta, {"bounds": table})])
     else:
         lines = [f"# {k}: {v}" for k, v in meta.items() if k != "params"]
         lines.append(f"# params: {json.dumps(params, sort_keys=True)}")
         width = max(len(k) for k in table)
         for key, value in table.items():
             lines.append(f"{key:<{width}}  {'N/A' if value is None else value}")
-        _write_text(args.out, "\n".join(lines) + "\n")
+        _write_lines(args.out, ["\n".join(lines) + "\n"])
     return EXIT_OK
 
 
@@ -157,15 +169,14 @@ def cmd_region(args) -> int:
         raise _UsageExit(f"--resolution must be at most {MAX_RESOLUTION}, got {args.resolution}")
     dims = _parse_dims(args.d_list)
     params = {"d_list": [str(dm) for dm in dims], "resolution": args.resolution}
-    rows = []
-    grid = np.linspace(0.0, 1.0, args.resolution + 2)[1:-1]
-    for dm in dims:
-        for delta1 in grid:
-            rows.append((str(dm), float(delta1), gadget.region_boundary(float(delta1), dm)))
+    grid = np.linspace(0.0, 1.0, args.resolution + 2)[1:-1].tolist()
+    rows = (
+        (str(dm), delta1, gadget.region_boundary(delta1, dm)) for dm in dims for delta1 in grid
+    )
     # d = inf is exact since region-v2; without it the bytes are region-v1's
     schema = "region-v1" if all(dm.is_finite for dm in dims) else "region-v2"
     meta = _meta(schema, "region", params, args.seed)
-    _write_text(args.out, _csv(meta, ["d", "delta1", "delta2_boundary"], rows))
+    _write_lines(args.out, _csv(meta, ["d", "delta1", "delta2_boundary"], rows))
     return EXIT_OK
 
 
@@ -200,10 +211,10 @@ def cmd_simulate(args) -> int:
             "z_score": summary.z_score,
         }
     }
-    _write_text(args.out, _json_doc(meta, payload))
+    _write_lines(args.out, [_json_doc(meta, payload)])
     if args.per_run:
-        rows = [(i, int(c)) for i, c in enumerate(samples)]
-        _write_text(args.per_run, _csv(meta, ["run", "copies_consumed"], rows))
+        rows = enumerate(samples.tolist())
+        _write_lines(args.per_run, _csv(meta, ["run", "copies_consumed"], rows))
     return EXIT_OK
 
 
@@ -239,17 +250,16 @@ def cmd_verify(args) -> int:
             "pass": ok,
         }
     }
-    _write_text(args.out, _json_doc(meta, payload))
+    _write_lines(args.out, [_json_doc(meta, payload)])
     return EXIT_OK if ok else EXIT_VALIDATION
 
 
 def cmd_simon(args) -> int:
-    ms = [int(tok) for tok in str(args.m).split(",") if tok.strip()]
     per_m = {}
     any_success = False
     all_budget_exhausted = True
     rng_root = Seed(args.seed)
-    for idx, m in enumerate(ms):
+    for idx, m in enumerate(args.m):
         eps = args.eps if args.eps is not None else 1.0 / (10.0 * m)
         budget = args.budget if args.budget is not None else 10 * m
         successes = 0
@@ -277,14 +287,14 @@ def cmd_simon(args) -> int:
         any_success = any_success or successes > 0
         all_budget_exhausted = all_budget_exhausted and exhausted == args.trials
     params = {
-        "m": ms,
+        "m": args.m,
         "delta": args.delta,
         "eps": args.eps,
         "trials": args.trials,
         "budget": args.budget,
     }
     meta = _meta("simon-v1", "simon", params, args.seed)
-    _write_text(args.out, _json_doc(meta, {"per_m": per_m}))
+    _write_lines(args.out, [_json_doc(meta, {"per_m": per_m})])
     if all_budget_exhausted and not any_success:
         return EXIT_BUDGET
     return EXIT_OK
@@ -329,7 +339,7 @@ def cmd_mixedness(args) -> int:
         "tau": args.tau,
     }
     meta = _meta("mixedness-v1", "mixedness", params, args.seed)
-    _write_text(args.out, _json_doc(meta, {"classes": classes}))
+    _write_lines(args.out, [_json_doc(meta, {"classes": classes})])
     return EXIT_OK
 
 
@@ -398,7 +408,7 @@ def build_parser() -> _Parser:
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("simon", help="Simon's problem with a depolarizing oracle")
-    p.add_argument("--m", default="4", help="problem size, or comma list for a table")
+    p.add_argument("--m", type=_m_list, default="4", help=f"2..{MAX_SIMON_M}, or a comma list")
     p.add_argument("--delta", type=float, default=0.5)
     p.add_argument("--eps", type=float, default=None, help="default 1/(10m)")
     p.add_argument("--trials", type=_positive_int, default=50)

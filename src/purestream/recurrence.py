@@ -252,6 +252,11 @@ def mu_inf_bound(i: int) -> float:
     return 1.0 / i + 2.0 * math.log(i) / (i * i)
 
 
+def _high_noise_exponent(k: float) -> float:
+    """1/k + 2 ln(1/k) at k = 1 - delta: the d = infinity high-noise bound."""
+    return 1.0 / k + 2.0 * math.log(1.0 / k)
+
+
 def n_upper_inf(delta: float) -> int:
     """Iteration bound for the high-noise phase at d = infinity.
 
@@ -260,8 +265,7 @@ def n_upper_inf(delta: float) -> int:
     """
     if not (2.0 / 3.0 < delta < 1.0):
         raise ValueError(f"delta must lie in (2/3, 1), got {delta}")
-    k = 1.0 - delta
-    return math.ceil(1.0 / k + 2.0 * math.log(1.0 / k))
+    return math.ceil(_high_noise_exponent(1.0 - delta))
 
 
 @dataclass(frozen=True)
@@ -290,8 +294,7 @@ def finite_d_coeffs(d: int, delta: float) -> FiniteDCoefficients:
     b = (d - 2) / (d + 2)
     c = d**3 / (d + 2) ** 3 if d >= 3 else 1.0 / 7.0
     alpha = (d - 2) * (d + 1) / (d + 2)
-    k = 1.0 - delta
-    n_star_inf = 1.0 / k + 2.0 * math.log(1.0 / k)
+    n_star_inf = _high_noise_exponent(1.0 - delta)
     beta = alpha - 2.0 * c * a * math.log(min(d, n_star_inf)) + 3.0 - 7.2 * c * a
     return FiniteDCoefficients(d=d, a=a, b=b, c=c, alpha=alpha, beta=beta)
 
@@ -347,7 +350,7 @@ def sc_theorem_bound(delta: float, d: int, eps: float) -> float:
     if delta <= 2.0 / 3.0:
         return 3630.0 / eps
     k = 1.0 - delta
-    exponent = min(1.0 / k + 2.0 * math.log(1.0 / k), (d + 2) * math.log(1.0 / k))
+    exponent = min(_high_noise_exponent(k), (d + 2) * math.log(1.0 / k))
     return 4.0**exponent * 3630.0 / eps
 
 

@@ -1,12 +1,13 @@
 """Stochastic simulation of the streaming purification protocol.
 
-Every partially purified state on the stack is exactly rho(delta_i) for
+Every partially purified state in memory is exactly rho(delta_i) for
 its level i, and the protocol only ever swap-tests two states of equal
-level, so the simulation never touches amplitudes: a cell is just an
-integer level, a swap test is a Bernoulli draw with the precomputed
-per-level success probability, and one run reduces to integer stack
-updates.  That makes 10^5..10^6 full protocol runs cheap while staying
-faithful to the real control flow, including restarts after failures.
+level, so the simulation never touches amplitudes: at most one state
+waits per level, so memory is one held flag per level, a swap test is a
+Bernoulli draw with the precomputed per-level success probability, and
+one run reduces to flag flips and per-level counts.  That makes
+10^5..10^6 full protocol runs cheap while staying faithful to the real
+control flow, including restarts after failures.
 The dense oracle module independently certifies the state-form claim
 this reduction rests on.
 
@@ -145,24 +146,24 @@ def as_outcomes(seed) -> "SeededOutcomes | ForcedOutcomes":
 class StackMachine:
     """Non-recursive implementation of the n-level purification protocol.
 
-    State is an array of purity levels plus a stack pointer k, with
-    purity[0] = -1 as sentinel.  The main loop fetches two fresh copies,
-    then keeps merging the two topmost cells while they have equal
-    levels: a successful swap test replaces the pair by one cell of the
-    next level, a failed one discards both.  The run ends when the
-    bottom cell reaches level n.
+    At most one state waits at each level, so the stack is a binary
+    counter: ``held[j]`` says whether a level-j state waits.  A fresh pair
+    is tested at level 0.  A success at level j makes a level-(j+1) state,
+    which meets the held one (the flag is cleared and the two are tested
+    one level up) or is held.  A failure discards both states; a failure or
+    a newly held state goes back to fetching a pair, and the run ends at
+    the first level-n success.
 
-    A run counts only per-level attempts and successes.  Every fetch is
-    followed by one level-0 test (copies = 2 * level_attempts[0]), and the
-    run ends at the first top-level success.
-
-    Structural invariants (always enforced): levels on the stack are
-    non-increasing with at most one equality, a swap test only ever sees
-    two cells of equal level, and the stack pointer never exceeds n + 1.
-    A finished run has held n + 1 cells, so its max_stack_depth is n + 1.
+    Stack order, equal-level pairing and the n + 1 memory bound hold by
+    construction: held levels are distinct, a test pairs two states of one
+    level, and at most n - 1 states are held beside the pair.  A finished
+    run has held all n + 1, so its max_stack_depth is n + 1.  A run counts
+    only per-level attempts and successes, from which copies
+    (2 * level_attempts[0]), total attempts and first_top_success derive;
+    _check_balance checks them at the end of every run.
     """
 
-    def __init__(self, d: int, delta_table, p_of_level, outcomes, trace_hook=None):
+    def __init__(self, d: int, delta_table, p_of_level, outcomes):
         check_dim(d)
         self.d = d
         self.delta_table = [float(x) for x in delta_table]
@@ -171,16 +172,15 @@ class StackMachine:
         if len(self.p_of_level) != self.n:
             raise ValueError("need one success probability per level transition")
         self.outcomes = as_outcomes(outcomes)
-        self.trace_hook = trace_hook
         # run artifacts
         self.level_attempts = [0] * max(self.n, 1)
         self.level_successes = [0] * max(self.n, 1)
         self.first_top_success: bool | None = None
 
     @classmethod
-    def for_protocol(cls, delta0: float, d: int, n: int, outcomes, **kwargs):
+    def for_protocol(cls, delta0: float, d: int, n: int, outcomes):
         trace = protocol_trace(delta0, d, n)
-        return cls(d, trace.deltas, trace.ps, outcomes, **kwargs)
+        return cls(d, trace.deltas, trace.ps, outcomes)
 
     def run(self) -> StreamStats:
         n = self.n
@@ -189,60 +189,29 @@ class StackMachine:
             return StreamStats(1, 0, 1, self.delta_table[0], 0)
 
         # fresh run artifacts (a machine may be run more than once)
-        self.level_attempts = [0] * n
-        self.level_successes = [0] * n
+        self.level_attempts = level_attempts = [0] * n
+        self.level_successes = level_successes = [0] * n
         self.first_top_success = None
 
         p_of_level = self.p_of_level
         draw = self.outcomes.draws.__next__
-        hook = self.trace_hook
-        level_attempts = self.level_attempts
-        level_successes = self.level_successes
+        # held[n] is set by the level-n state that ends the run
+        held = [False] * (n + 1)
 
-        purity = [-1] * (n + 3)
-        k = 0
-
-        while True:
-            # Fetch two fresh copies onto the stack.
-            k += 1
-            purity[k] = 0
-            k += 1
-            purity[k] = 0
-            if k > n + 1:
-                raise InvariantViolation(f"stack depth {k} exceeds n+1 = {n + 1}")
-            if k >= 3 and purity[k - 2] <= 0:
-                raise InvariantViolation("cell below a fresh pair must outrank it")
-            if hook is not None:
-                hook(purity, k)
-
+        while not held[n]:
+            lev = 0  # a fresh pair
             while True:
-                lev = purity[k]
-                if purity[k - 1] != lev:
-                    raise InvariantViolation("swap test on cells of unequal level")
                 level_attempts[lev] += 1
-                if draw() < p_of_level[lev]:
-                    level_successes[lev] += 1
-                    k -= 1
-                    purity[k] = lev + 1
-                    if k >= 2:
-                        below = purity[k - 1]
-                        if below < lev + 1:
-                            raise InvariantViolation("stack levels must not increase")
-                        if below == lev + 1 and k >= 3 and purity[k - 2] <= below:
-                            raise InvariantViolation("more than one equality on stack")
-                    if hook is not None:
-                        hook(purity, k)
-                    if purity[k - 1] != purity[k]:
-                        break
-                else:
-                    k -= 2
-                    if hook is not None:
-                        hook(purity, k)
+                if draw() >= p_of_level[lev]:
+                    break  # both states are discarded
+                level_successes[lev] += 1
+                lev += 1
+                if not held[lev]:
+                    held[lev] = True
                     break
+                held[lev] = False
 
-            if k == 1 and purity[1] == n:
-                break
-
+        _check_balance(level_attempts, level_successes, held)
         self.first_top_success = level_attempts[n - 1] == 1
         attempts = sum(level_attempts)
         return StreamStats(
@@ -252,6 +221,22 @@ class StackMachine:
             final_delta=self.delta_table[n],
             gate_count=gate_count_estimate(attempts, self.d),
         )
+
+
+def _check_balance(level_attempts, level_successes, held):
+    """Raise InvariantViolation unless a finished run's counts balance.
+
+    Each level-j state a run makes (a success at level j - 1) is either
+    consumed by a level-j test, which takes two, or still held, so
+    level_successes[j-1] - 2 level_attempts[j] == held[j] for 1 <= j < n;
+    and the run ends at its one level-n success.
+    """
+    n = len(level_attempts)
+    for j in range(1, n):
+        if level_successes[j - 1] - 2 * level_attempts[j] != held[j]:
+            raise InvariantViolation(f"level {j}: counts do not balance the held flag")
+    if level_successes[n - 1] != 1:
+        raise InvariantViolation(f"{level_successes[n - 1]} level-{n} successes, want 1")
 
 
 def purify_streaming(delta0: float, d: int, n: int, seed) -> StreamStats:

@@ -332,6 +332,13 @@ HANG_CASES = [
     ["simon", "--m", "2", "--eps", "1e-300"],
     ["mixedness", "--d", "2", "--eta", "1e-9", "--trials", "1"],
 ]
+# degenerate --m lists; each must exit 1 naming --m
+BAD_M_CASES = [
+    ["simon", "--m", ""],
+    ["simon", "--m", "0"],
+    ["simon", "--m", "1"],
+    ["simon", "--m", "64", "--trials", "1"],
+]
 EDGE_CASES = [
     ["recurrence", "--iters", "-1"],
     ["recurrence", "--d", "2", "--delta0", "1.5"],
@@ -347,8 +354,7 @@ EDGE_CASES = [
     ["verify", "--d", "17"],
     ["verify", "--d", "1"],
     ["verify", "--trials", "0"],
-    ["simon", "--m", "1"],
-    ["simon", "--m", "64", "--trials", "1"],
+    *BAD_M_CASES,
     ["simon", "--m", "2", "--delta", "0"],
     ["simon", "--m", "2", "--budget", "0"],
     ["mixedness", "--eta", "0"],
@@ -362,9 +368,14 @@ class TestFuzz:
         proc = run_cli_process(argv, timeout=20)
         assert proc.returncode in {0, 1, 2, 3}
         assert "Traceback" not in proc.stderr
+        if proc.returncode == 1:
+            assert proc.stdout == ""  # arguments are checked before the first byte
         if argv in HANG_CASES:
             assert proc.returncode == 1
             assert proc.stderr.startswith("error: ")
+        if argv in BAD_M_CASES:
+            assert proc.returncode == 1
+            assert "error: argument --m: " in proc.stderr
 
 
 class TestParserReuse:

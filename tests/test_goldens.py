@@ -79,10 +79,15 @@ def test_machine_rerun_resets_artifacts():
     assert second == run_record(StackMachine.for_protocol(0.6, 8, 6, outcomes))
 
 
-def test_streaming_equals_recursive_per_seed():
+# n = 1, the golden points' (0.6, 8, 6), and two long runs (~2,300 and ~3,400
+# expected copies)
+@pytest.mark.parametrize(
+    "point", [(0.6, 8, 1), (0.6, 8, 6), (0.95, 2, 8), (0.9, 64, 6)], ids=str
+)
+def test_streaming_equals_recursive_per_seed(point):
     # both consume draws in the same depth-first order
     mismatches = sum(
-        purify_streaming(0.6, 8, 6, Seed(707, i)) != purify_recursive(0.6, 8, 6, Seed(707, i))
+        purify_streaming(*point, Seed(707, i)) != purify_recursive(*point, Seed(707, i))
         for i in range(300)
     )
     assert mismatches == 0

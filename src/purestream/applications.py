@@ -16,14 +16,15 @@ rate (1+1/d)/2 while the far stream passes with near certainty.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .core import Dimension, as_generator, check_dim, check_open_unit
-from .recurrence import iterate, iterations_to, success_prob
-from .streaming import SeededOutcomes, StackMachine, protocol_trace
+from .recurrence import iterations_to, orbit, success_prob
+from .streaming import SeededOutcomes, StackMachine
 
 __all__ = [
     "SimonInstance",
@@ -98,21 +99,20 @@ def gf2_rank_and_nullspace(rows, m: int | None = None):
         if not rows:
             raise ValueError("m is required when rows is empty")
         m = len(rows[0])
-    masks = []
+    pivots: dict[int, int] = {}  # echelon basis keyed by pivot position (msb-first)
     for r in rows:
         bits = r if isinstance(r, str) else "".join(str(int(b)) for b in r)
         if len(bits) != m or any(c not in "01" for c in bits):
             raise ValueError(f"row {r!r} is not a length-{m} bit-string")
-        masks.append(int(bits, 2))
+        _insert(int(bits, 2), pivots)
+    return len(pivots), [_mask_to_bits(v, m) for v in _nullspace(pivots, m)]
 
-    # Reduced echelon basis keyed by pivot position (msb-first).
-    pivots: dict[int, int] = {}
-    for v in masks:
-        v = _reduce(v, pivots)
-        if v:
-            pivots[v.bit_length() - 1] = v
-    rank = len(pivots)
 
+def _nullspace(pivots: dict[int, int], m: int) -> list[int]:
+    """Nullspace basis masks of an echelon basis keyed by pivot position.
+
+    One mask per free column, msb-first.  Reduces `pivots` in place.
+    """
     # Back-substitute so each pivot column appears in exactly one row.
     for pos in sorted(pivots):
         row = pivots[pos]
@@ -120,47 +120,45 @@ def gf2_rank_and_nullspace(rows, m: int | None = None):
             if other_pos != pos and (other >> pos) & 1:
                 pivots[other_pos] = other ^ row
 
-    free_cols = [c for c in range(m - 1, -1, -1) if c not in pivots]
     basis = []
-    for f in free_cols:
+    for f in range(m - 1, -1, -1):
+        if f in pivots:
+            continue
         v = 1 << f
         for pos, row in pivots.items():
             if (row >> f) & 1:
                 v |= 1 << pos
-        basis.append(_mask_to_bits(v, m))
-    return rank, basis
+        basis.append(v)
+    return basis
 
 
-def _reduce(v: int, pivots: dict[int, int]) -> int:
+def _insert(v: int, pivots: dict[int, int]):
+    """Reduce v by the echelon basis `pivots` and add what is left, if nonzero."""
     while v:
         pos = v.bit_length() - 1
         if pos not in pivots:
-            return v
+            pivots[pos] = v
+            return
         v ^= pivots[pos]
-    return 0
 
 
 class _PurifiedSampler:
     """Draws purified measurement outcomes y for one Simon instance.
 
-    Builds the recurrence tables once; each sample runs the stack
-    machine (one oracle query per raw copy) and then measures the
-    purified state's first register: the surviving ideal branch gives y
-    uniform on the subspace s-perp, the depolarized branch gives y
-    uniform over all of {0,1}^m.
+    Builds one stack machine; each sample runs it (one oracle query per raw
+    copy) and then measures the purified state's first register: the
+    surviving ideal branch gives y uniform on the subspace s-perp, the
+    depolarized branch gives y uniform over all of {0,1}^m.
     """
 
     def __init__(self, instance: SimonInstance, eps_target: float):
         if not (0.0 < eps_target < instance.oracle_delta):
             raise ValueError("eps_target must lie in (0, oracle_delta)")
         self.instance = instance
-        self.d = instance.oracle_dim
-        self.n = iterations_to(instance.oracle_delta, Dimension.finite(self.d), eps_target)
+        d, delta = instance.oracle_dim, instance.oracle_delta
+        self.n = iterations_to(delta, Dimension.finite(d), eps_target)
         # capped per sample: the budget is a ceiling a trial seldom reaches
-        trace = protocol_trace(instance.oracle_delta, self.d, self.n)
-        self.deltas = trace.deltas
-        self.ps = trace.ps
-        self.final_delta = trace.final_delta
+        self.machine = StackMachine.for_protocol(delta, d, self.n)
         # Lowest set bit of s: flipping it maps y with y.s = 1 onto s-perp.
         self.fix_bit = instance.s_mask & -instance.s_mask
 
@@ -171,8 +169,8 @@ class _PurifiedSampler:
         return y
 
     def sample(self, rng: np.random.Generator) -> tuple[int, int]:
-        stats = StackMachine(self.d, self.deltas, self.ps, SeededOutcomes(rng)).run()
-        if rng.random() < self.final_delta:
+        stats = self.machine.run(SeededOutcomes(rng))
+        if rng.random() < stats.final_delta:
             y = int(rng.integers(0, 1 << self.instance.m))  # depolarized branch
         else:
             y = self.sample_ideal_y(rng)
@@ -181,9 +179,7 @@ class _PurifiedSampler:
 
 def sample_purified_y(instance: SimonInstance, eps_target: float, rng) -> tuple[str, int]:
     """One purified Simon sample: (y bit-string, oracle queries used)."""
-    rng = as_generator(rng)
-    sampler = _PurifiedSampler(instance, eps_target)
-    y, queries = sampler.sample(rng)
+    y, queries = _PurifiedSampler(instance, eps_target).sample(as_generator(rng))
     return _mask_to_bits(y, instance.m), queries
 
 
@@ -221,32 +217,20 @@ def solve_simon(
         return y
 
     while samples < budget:
-        y = _reduce(draw(), pivots)
-        if y:
-            pivots[y.bit_length() - 1] = y
+        _insert(draw(), pivots)
         # a single insert raises the rank by at most one, and rank m-1
         # is always resolved below before the next draw
         if len(pivots) < m - 1:
             continue
 
-        rank, basis = gf2_rank_and_nullspace(
-            [_mask_to_bits(v, m) for v in pivots.values()], m
-        )
-        s_hat_mask = int(basis[0], 2)
-        confirmed = True
-        for _ in range(2):
-            if samples >= budget:
-                confirmed = False
-                break
-            if _parity(draw() & s_hat_mask):
-                confirmed = False
-                break
-        if confirmed:
+        s_hat_mask = _nullspace(pivots, m)[0]
+        # two fresh samples within the budget must be orthogonal to it
+        if all(samples < budget and not _parity(draw() & s_hat_mask) for _ in range(2)):
             return SimonResult(
                 s_hat=_mask_to_bits(s_hat_mask, m),
                 total_oracle_queries=queries,
                 samples_collected=samples,
-                success=_mask_to_bits(s_hat_mask, m) == instance.s,
+                success=s_hat_mask == instance.s_mask,
             )
         pivots = {}
 
@@ -285,6 +269,7 @@ def mixedness_levels(eta: float) -> int:
     return math.ceil(15.0 + 2.0 / eta + 2.0 * math.log(2.0 / eta))
 
 
+@functools.cache
 def mixedness_top_pass_prob(case_delta: float, d: int, eta: float) -> float:
     """Success probability of the first top-level swap test of a run.
 
@@ -292,14 +277,16 @@ def mixedness_top_pass_prob(case_delta: float, d: int, eta: float) -> float:
     probability depends only on the level, so the first attempt at the
     top level is distributed Bernoulli(P(delta_{n-1}, d)) regardless of
     how many restarts precede it.  delta = 1 is a fixed point of the
-    recurrence, giving (1 + 1/d)/2 there.
+    recurrence, giving (1 + 1/d)/2 there.  Cached: the far case walks up
+    to ITERATION_CAP levels, and every trial of a command asks for it.
     """
     n = mixedness_levels(eta)
     dim = Dimension.finite(d)
     if case_delta == 1.0:
         return success_prob(1.0, dim)
-    trace = iterate(case_delta, dim, n)
-    return trace.ps[-1]
+    for _, _, p_top in orbit(case_delta, dim, n):
+        pass  # only the top level's p is wanted, and the walk holds one level
+    return p_top
 
 
 def mixedness_test(
@@ -316,9 +303,10 @@ def mixedness_test(
     first top-level swap test of each passes (sampled from its exact
     Bernoulli distribution; simulating the ~2^n copies consumed per
     execution event-by-event would add nothing statistically).  Declares
-    MaximallyMixed when the pass rate falls below `threshold`.
+    MaximallyMixed when the pass rate falls below `threshold`, in (0, 1).
     """
     check_dim(d)
+    check_open_unit(threshold=threshold)
     if reps < 1:
         raise ValueError("reps must be >= 1")
     n = mixedness_levels(eta)  # validates eta

@@ -12,6 +12,7 @@ Exit codes: 0 success, 1 usage error, 2 validation/tolerance failure,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import itertools
 import json
@@ -53,6 +54,23 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _tolerance(text: str) -> float:
+    value = float(text)
+    if not 0.0 <= value < float("inf"):
+        raise argparse.ArgumentTypeError(f"must be finite and non-negative, got {text!r}")
+    return value
+
+
+def _dim_list(text: str) -> list[Dimension]:
+    try:
+        dims = [as_dimension(tok) for tok in text.split(",") if tok.strip()]
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+    if not dims:
+        raise argparse.ArgumentTypeError(f"must list dimensions, got {text!r}")
+    return dims
+
+
 def _m_list(text: str) -> list[int]:
     ms = [int(tok) for tok in text.split(",") if tok.strip()]
     if not ms or not all(2 <= m <= MAX_SIMON_M for m in ms):
@@ -71,12 +89,16 @@ def _meta(schema: str, command: str, params: dict, seed: int | None) -> dict:
     }
 
 
+def _open(path: str | None):
+    """The output stream of a path, opened now: stdout for None or '-'."""
+    if path in (None, "-"):
+        return contextlib.nullcontext(sys.stdout)
+    return open(path, "w")
+
+
 def _write_lines(out_path: str | None, lines):
-    if out_path in (None, "-"):
-        sys.stdout.writelines(lines)
-    else:
-        with open(out_path, "w") as fh:
-            fh.writelines(lines)
+    with _open(out_path) as fh:
+        fh.writelines(lines)
 
 
 def _csv(meta: dict, header: list[str], rows):
@@ -105,26 +127,22 @@ def _json_doc(meta: dict, payload: dict) -> str:
     return json.dumps({"meta": meta, **payload}, sort_keys=True, indent=2) + "\n"
 
 
-def _parse_dims(tokens: str) -> list[Dimension]:
-    return [as_dimension(tok) for tok in tokens.split(",") if tok.strip()]
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
 
 
 def cmd_recurrence(args) -> int:
-    dims = _parse_dims(args.d)
     params = {
-        "d": [str(dm) for dm in dims],
+        "d": [str(dm) for dm in args.d],
         "delta0": args.delta0,
         "iters": args.iters,
     }
+    # rows come straight from the walk; no dimension's orbit is held
     rows = (
         (str(dm), i, delta_i, p_i)
-        for dm in dims
-        for i, delta_i, p_i in recurrence.iterate(args.delta0, dm, args.iters).entries()
+        for dm in args.d
+        for i, (delta_i, _, p_i) in enumerate(recurrence.orbit(args.delta0, dm, args.iters))
     )
     meta = _meta("recurrence-v1", "recurrence", params, args.seed)
     _write_lines(args.out, _csv(meta, ["d", "i", "delta_i", "p_i"], rows))
@@ -136,11 +154,12 @@ def cmd_bounds(args) -> int:
     d = dm.require_finite("bounds")
     delta0, eps = args.delta0, args.eps
     n_direct = recurrence.iterations_to(delta0, dm, eps)
-    sc_exact = recurrence.expected_sample_complexity(delta0, dm, n_direct)
+    trace = recurrence.iterate(delta0, dm, n_direct)
+    sc_exact = trace.expected_copies
     high_noise = delta0 > 2.0 / 3.0
     table = {
         "n_direct": n_direct,
-        "final_delta": recurrence.iterate(delta0, dm, n_direct).final_delta,
+        "final_delta": trace.final_delta,
         "n_upper_inf": recurrence.n_upper_inf(delta0) if high_noise else None,
         "n_upper_finite_d": recurrence.n_upper_finite_d(delta0, d) if high_noise else None,
         "sc_exact": sc_exact,
@@ -167,7 +186,7 @@ def cmd_bounds(args) -> int:
 def cmd_region(args) -> int:
     if args.resolution > MAX_RESOLUTION:
         raise _UsageExit(f"--resolution must be at most {MAX_RESOLUTION}, got {args.resolution}")
-    dims = _parse_dims(args.d_list)
+    dims = args.d_list
     params = {"d_list": [str(dm) for dm in dims], "resolution": args.resolution}
     grid = np.linspace(0.0, 1.0, args.resolution + 2)[1:-1].tolist()
     rows = (
@@ -211,10 +230,12 @@ def cmd_simulate(args) -> int:
             "z_score": summary.z_score,
         }
     }
-    _write_lines(args.out, [_json_doc(meta, payload)])
-    if args.per_run:
-        rows = enumerate(samples.tolist())
-        _write_lines(args.per_run, _csv(meta, ["run", "copies_consumed"], rows))
+    # opened before the first byte, so a bad path writes nothing
+    with _open(args.per_run) if args.per_run else contextlib.nullcontext() as per_run:
+        _write_lines(args.out, [_json_doc(meta, payload)])
+        if per_run:
+            rows = enumerate(samples.tolist())
+            per_run.writelines(_csv(meta, ["run", "copies_consumed"], rows))
     return EXIT_OK
 
 
@@ -301,25 +322,21 @@ def cmd_simon(args) -> int:
 
 
 def cmd_mixedness(args) -> int:
-    cases = {"mixed": 1.0, "far": 1.0 - args.eta / 2.0}
+    cases = {
+        "mixed": (1.0, applications.MAXIMALLY_MIXED),
+        "far": (1.0 - args.eta / 2.0, applications.FAR_FROM_MIXED),
+    }
     if args.case != "both":
         cases = {args.case: cases[args.case]}
     classes = {}
     offset = 0
-    for name, case_delta in cases.items():
+    for name, (case_delta, expected) in cases.items():
         errors = 0
         hist = {}
         for trial in range(args.trials):
+            seed = Seed(args.seed, offset + trial)
             outcome = applications.mixedness_test(
-                case_delta,
-                args.d,
-                args.eta,
-                args.reps,
-                Seed(args.seed, offset + trial),
-                threshold=args.tau,
-            )
-            expected = (
-                applications.MAXIMALLY_MIXED if name == "mixed" else applications.FAR_FROM_MIXED
+                case_delta, args.d, args.eta, args.reps, seed, threshold=args.tau
             )
             errors += outcome.verdict != expected
             hist[outcome.passes] = hist.get(outcome.passes, 0) + 1
@@ -369,7 +386,7 @@ def build_parser() -> _Parser:
         )
 
     p = sub.add_parser("recurrence", help="error/success-probability curves")
-    p.add_argument("--d", default="20,50,100,inf", help="comma list of dimensions")
+    p.add_argument("--d", type=_dim_list, default="20,50,100,inf", help="list of dimensions")
     p.add_argument("--delta0", type=float, default=0.99)
     p.add_argument("--iters", type=int, default=60, help="at most recurrence.ITERATION_CAP")
     common(p)
@@ -384,7 +401,7 @@ def build_parser() -> _Parser:
     p.set_defaults(func=cmd_bounds)
 
     p = sub.add_parser("region", help="improvement-region boundary grid")
-    p.add_argument("--d-list", default="2,3,6,inf")
+    p.add_argument("--d-list", type=_dim_list, default="2,3,6,inf")
     p.add_argument(
         "--resolution", type=_positive_int, default=200, help=f"at most {MAX_RESOLUTION}"
     )
@@ -403,7 +420,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("verify", help="dense-oracle equivalence sweep")
     p.add_argument("--d", type=int, default=2)
     p.add_argument("--trials", type=_positive_int, default=100)
-    p.add_argument("--tol", type=float, default=1e-10)
+    p.add_argument("--tol", type=_tolerance, default=1e-10)
     common(p)
     p.set_defaults(func=cmd_verify)
 
@@ -422,7 +439,7 @@ def build_parser() -> _Parser:
     p.add_argument("--case", choices=("mixed", "far", "both"), default="both")
     p.add_argument("--trials", type=_positive_int, default=100)
     p.add_argument("--reps", type=_positive_int, default=20)
-    p.add_argument("--tau", type=float, default=applications.DEFAULT_THRESHOLD)
+    p.add_argument("--tau", type=float, default=applications.DEFAULT_THRESHOLD, help="in (0, 1)")
     common(p)
     p.set_defaults(func=cmd_mixedness)
 

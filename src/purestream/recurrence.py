@@ -21,6 +21,7 @@ and tomography-based alternatives.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -33,6 +34,7 @@ __all__ = [
     "success_prob",
     "delta_map",
     "kappa_map",
+    "orbit",
     "iterate",
     "iterations_to",
     "i_star",
@@ -122,11 +124,10 @@ class RecurrenceTrace:
     def final_delta(self) -> float:
         return self.deltas[-1]
 
-    def entries(self):
-        """Rows (i, delta_i, p_i), with p_0 = None."""
-        yield 0, self.deltas[0], None
-        for i in range(1, len(self.deltas)):
-            yield i, self.deltas[i], self.ps[i - 1]
+    @property
+    def expected_copies(self) -> float:
+        """Expected raw copies consumed by a run of this depth: 2^n / prod_i p_i."""
+        return 2.0 ** len(self.ps) / math.prod(self.ps)
 
 
 def _advance(delta: float, kappa: float, dim: Dimension) -> tuple[float, float]:
@@ -141,24 +142,39 @@ def _advance(delta: float, kappa: float, dim: Dimension) -> tuple[float, float]:
     return delta, kappa
 
 
+def _walk(delta0: float, dim: Dimension):
+    """(delta_i, kappa_i) for i = 0, 1, ... without end: the one loop over the recurrence."""
+    delta, kappa = delta0, 1.0 - delta0
+    while True:
+        yield delta, kappa
+        delta, kappa = _advance(delta, kappa, dim)
+
+
+def orbit(delta0: float, dim, n: int):
+    """The n-step orbit, one level at a time: (delta_i, kappa_i, p_i), i = 0 .. n.
+
+    p_0 = None and p_i = P(delta_{i-1}, d).  Holds one level, not the orbit;
+    delta_0 in (0, 1) and 0 <= n <= ITERATION_CAP are checked at the first level.
+    """
+    dim = as_dimension(dim)
+    check_open_unit(delta0=delta0)
+    if not 0 <= n <= ITERATION_CAP:
+        raise ValueError(f"n must lie in 0..ITERATION_CAP = {ITERATION_CAP}, got {n}")
+    p = None
+    for delta, kappa in itertools.islice(_walk(delta0, dim), n + 1):
+        yield delta, kappa, p
+        p = success_prob(delta, dim)
+
+
 def iterate(delta0: float, dim, n: int) -> RecurrenceTrace:
     """Iterate the recurrence n times from delta_0 in (0, 1), n <= ITERATION_CAP."""
     dim = as_dimension(dim)
-    check_open_unit(delta0=delta0)
-    if n < 0:
-        raise ValueError("n must be non-negative")
-    if n > ITERATION_CAP:
-        raise ValueError(f"n must be at most ITERATION_CAP = {ITERATION_CAP}, got {n}")
-    delta, kappa = delta0, 1.0 - delta0
-    deltas = [delta]
-    kappas = [kappa]
-    ps = []
-    for _ in range(n):
-        ps.append(success_prob(delta, dim))
-        delta, kappa = _advance(delta, kappa, dim)
+    deltas, kappas, ps = [], [], []
+    for delta, kappa, p in orbit(delta0, dim, n):
         deltas.append(delta)
         kappas.append(kappa)
-    return RecurrenceTrace(dim, tuple(deltas), tuple(ps), tuple(kappas))
+        ps.append(p)
+    return RecurrenceTrace(dim, tuple(deltas), tuple(ps[1:]), tuple(kappas))
 
 
 def iterations_to(delta0: float, dim, eps: float, cap: int = ITERATION_CAP) -> int:
@@ -168,9 +184,7 @@ def iterations_to(delta0: float, dim, eps: float, cap: int = ITERATION_CAP) -> i
         if 0.0 < delta0 < 1.0 and eps >= delta0:
             return 0
         raise ValueError(f"need 0 < eps < delta0 < 1, got eps={eps} delta0={delta0}")
-    delta, kappa = delta0, 1.0 - delta0
-    for n in range(1, cap + 1):
-        delta, kappa = _advance(delta, kappa, dim)
+    for n, (delta, _) in enumerate(itertools.islice(_walk(delta0, dim), cap + 1)):
         if delta <= eps:
             return n
     raise RuntimeError(
@@ -183,15 +197,10 @@ def i_star(delta0: float, dim, cap: int = ITERATION_CAP) -> int:
 
     Marks the end of the slow high-noise phase of the recurrence.
     """
-    dim = as_dimension(dim)
     if not (2.0 / 3.0 < delta0 < 1.0):
         raise ValueError(f"delta0 must lie in (2/3, 1), got {delta0}")
-    delta, kappa = delta0, 1.0 - delta0
-    for i in range(cap):
-        delta, kappa = _advance(delta, kappa, dim)
-        if delta < 2.0 / 3.0:
-            return i
-    raise RuntimeError(f"delta did not drop below 2/3 within {cap} iterations")
+    # delta_n <= the largest double below 2/3 exactly when delta_n < 2/3
+    return iterations_to(delta0, dim, math.nextafter(2.0 / 3.0, 0.0), cap) - 1
 
 
 def eta_bound(delta: float, i: int) -> float:
@@ -319,16 +328,8 @@ def n_upper_finite_d(delta: float, d: int) -> int:
 
 def expected_sample_complexity(delta0: float, dim, n: int) -> float:
     """Expected raw copies consumed by an n-level run: 2^n / prod_i p_i."""
-    dim = as_dimension(dim)
-    dim.require_finite("expected_sample_complexity")
-    check_open_unit(delta0=delta0)
-    if n == 0:
-        return 1.0
-    trace = iterate(delta0, dim, n)
-    prod = 1.0
-    for p in trace.ps:
-        prod *= p
-    return 2.0**n / prod
+    as_dimension(dim).require_finite("expected_sample_complexity")
+    return iterate(delta0, dim, n).expected_copies
 
 
 def sc_theorem_bound(delta: float, d: int, eps: float) -> float:

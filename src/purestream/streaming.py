@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import Dimension, Seed, as_generator, check_dim, check_open_unit
-from .recurrence import RecurrenceTrace, expected_sample_complexity, gate_count_estimate, iterate
+from .recurrence import RecurrenceTrace, gate_count_estimate, iterate
 
 __all__ = [
     "StreamStats",
@@ -160,10 +160,12 @@ class StackMachine:
     run has held all n + 1, so its max_stack_depth is n + 1.  A run counts
     only per-level attempts and successes, from which copies
     (2 * level_attempts[0]), total attempts and first_top_success derive;
-    _check_balance checks them at the end of every run.
+    _check_balance checks them at the end of every run.  A machine holds
+    only its tables, so one serves many runs; each run leaves its own
+    level_attempts and level_successes lists and first_top_success on it.
     """
 
-    def __init__(self, d: int, delta_table, p_of_level, outcomes):
+    def __init__(self, d: int, delta_table, p_of_level):
         check_dim(d)
         self.d = d
         self.delta_table = [float(x) for x in delta_table]
@@ -171,30 +173,24 @@ class StackMachine:
         self.n = len(self.delta_table) - 1
         if len(self.p_of_level) != self.n:
             raise ValueError("need one success probability per level transition")
-        self.outcomes = as_outcomes(outcomes)
-        # run artifacts
-        self.level_attempts = [0] * max(self.n, 1)
-        self.level_successes = [0] * max(self.n, 1)
-        self.first_top_success: bool | None = None
 
     @classmethod
-    def for_protocol(cls, delta0: float, d: int, n: int, outcomes):
+    def for_protocol(cls, delta0: float, d: int, n: int):
         trace = protocol_trace(delta0, d, n)
-        return cls(d, trace.deltas, trace.ps, outcomes)
+        return cls(d, trace.deltas, trace.ps)
 
-    def run(self) -> StreamStats:
+    def run(self, outcomes) -> StreamStats:
+        """One run, drawing from a Seed, int, Generator or outcome source."""
+        draw = as_outcomes(outcomes).draws.__next__
         n = self.n
+        self.level_attempts = level_attempts = [0] * max(n, 1)
+        self.level_successes = level_successes = [0] * max(n, 1)
+        self.first_top_success = None
         if n == 0:
             # Degenerate protocol: hand back one raw copy untouched.
             return StreamStats(1, 0, 1, self.delta_table[0], 0)
 
-        # fresh run artifacts (a machine may be run more than once)
-        self.level_attempts = level_attempts = [0] * n
-        self.level_successes = level_successes = [0] * n
-        self.first_top_success = None
-
         p_of_level = self.p_of_level
-        draw = self.outcomes.draws.__next__
         # held[n] is set by the level-n state that ends the run
         held = [False] * (n + 1)
 
@@ -241,7 +237,7 @@ def _check_balance(level_attempts, level_successes, held):
 
 def purify_streaming(delta0: float, d: int, n: int, seed) -> StreamStats:
     """One stack-machine run of the n-level protocol; see StackMachine."""
-    return StackMachine.for_protocol(delta0, d, n, seed).run()
+    return StackMachine.for_protocol(delta0, d, n).run(seed)
 
 
 def purify_recursive(delta0: float, d: int, n: int, seed) -> StreamStats:
@@ -322,17 +318,14 @@ class MonteCarloSummary:
         return (self.mean_copies - self.theoretical_sc) / se
 
 
-def _mc_run_range(d, trace: RecurrenceTrace, seed: Seed, lo, hi):
-    n = len(trace.ps)
+def _mc_run_range(machine: StackMachine, seed: Seed, lo, hi):
+    n = machine.n
     copies = np.empty(hi - lo, dtype=np.int64)
     attempts = np.empty(hi - lo, dtype=np.int64)
     lev_att = [0] * n
     lev_suc = [0] * n
     for i in range(lo, hi):
-        machine = StackMachine(
-            d, trace.deltas, trace.ps, SeededOutcomes(seed.child_generator(i))
-        )
-        st = machine.run()
+        st = machine.run(SeededOutcomes(seed.child_generator(i)))
         copies[i - lo] = st.copies_consumed
         attempts[i - lo] = st.swap_attempts
         for lv in range(n):
@@ -359,7 +352,7 @@ def monte_carlo(
     trace = protocol_trace(delta0, d, n, runs)
     if n < 1:
         raise ValueError("monte_carlo requires n >= 1")
-    theoretical_sc = expected_sample_complexity(delta0, Dimension.finite(d), n)
+    machine = StackMachine(d, trace.deltas, trace.ps)  # one for every run
     root = seed if isinstance(seed, Seed) else Seed(int(seed))
 
     if jobs > 1:
@@ -369,11 +362,11 @@ def monte_carlo(
         # CPUs or runs would only start more processes
         workers = min(jobs, runs, multiprocessing.cpu_count())
         bounds = np.linspace(0, runs, workers + 1).astype(int)
-        chunks = [(d, trace, root, int(lo), int(hi)) for lo, hi in zip(bounds[:-1], bounds[1:])]
+        chunks = [(machine, root, int(lo), int(hi)) for lo, hi in zip(bounds[:-1], bounds[1:])]
         with multiprocessing.Pool(workers) as pool:
             parts = pool.starmap(_mc_run_range, chunks)
     else:
-        parts = [_mc_run_range(d, trace, root, 0, runs)]
+        parts = [_mc_run_range(machine, root, 0, runs)]
 
     copies = np.concatenate([p[0] for p in parts])
     attempts = np.concatenate([p[1] for p in parts])
@@ -391,7 +384,7 @@ def monte_carlo(
         max_copies=int(copies.max()),
         mean_swap_attempts=float(attempts.mean()),
         max_stack_depth=n + 1,
-        theoretical_sc=theoretical_sc,
+        theoretical_sc=trace.expected_copies,
         level_attempts=lev_att,
         level_successes=lev_suc,
     )

@@ -72,8 +72,8 @@ CLI_CASES = [
 ]
 
 
-def machine_record(machine: StackMachine) -> dict:
-    st = machine.run()
+def machine_record(machine: StackMachine, outcomes) -> dict:
+    st = machine.run(outcomes)
     return {
         "stats": [st.copies_consumed, st.swap_attempts, st.max_stack_depth,
                   st.final_delta, st.gate_count],
@@ -92,20 +92,20 @@ def record_runs() -> dict:
     seeded = []
     for delta0, d, n, key in SEEDED_POINTS:
         runs = [
-            machine_record(StackMachine.for_protocol(delta0, d, n, Seed(key, i).generator()))
+            machine_record(StackMachine.for_protocol(delta0, d, n), Seed(key, i).generator())
             for i in range(SEEDED_RUNS)
         ]
         seeded.append({"point": [delta0, d, n], "seed": key, "runs": runs})
     forced = []
     for delta0, d, n in FORCED_POINTS:
         for seq in forced_sequences(FORCED_SEQS):
-            rec = machine_record(StackMachine.for_protocol(delta0, d, n, ForcedOutcomes(seq)))
+            rec = machine_record(StackMachine.for_protocol(delta0, d, n), ForcedOutcomes(seq))
             bits = "".join("1" if x else "0" for x in seq)
             forced.append({"point": [delta0, d, n], "outcomes": bits, **rec})
     rng = Seed(SHARED_SEED).generator()
     shared = []
     for delta0, d, n in SHARED_POINTS:
-        rec = machine_record(StackMachine.for_protocol(delta0, d, n, SeededOutcomes(rng)))
+        rec = machine_record(StackMachine.for_protocol(delta0, d, n), SeededOutcomes(rng))
         shared.append({"point": [delta0, d, n], **rec, "next_draw": float(rng.random())})
     return {"seeded": seeded, "forced": forced, "shared": {"seed": SHARED_SEED, "runs": shared}}
 

@@ -224,7 +224,7 @@ def test_criterion_08_memory_bound_and_invariants(mc_summaries, simon_battery):
         ]
         for _, delta0, d, n, runs in batteries:
             for i in range(runs):
-                st = StackMachine.for_protocol(delta0, d, n, Seed(808, i)).run()
+                st = StackMachine.for_protocol(delta0, d, n).run(Seed(808, i))
                 assert st.max_stack_depth == n + 1
         # delta = 1 fixed-point machines (maximally mixed stream)
         from purestream.recurrence import success_prob
@@ -233,7 +233,7 @@ def test_criterion_08_memory_bound_and_invariants(mc_summaries, simon_battery):
             p1 = success_prob(1.0, Dimension.finite(d))
             for i in range(300):
                 outcomes = SeededOutcomes(Seed(809, i).generator())
-                st = StackMachine(d, [1.0] * 5, [p1] * 4, outcomes).run()
+                st = StackMachine(d, [1.0] * 5, [p1] * 4).run(outcomes)
                 assert st.max_stack_depth == 5
         info["detail"] = "depth == n+1 in every run; per-run balance check never tripped"
 

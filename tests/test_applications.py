@@ -118,7 +118,7 @@ class TestSampleDistribution:
         eps = 0.05
         rng = Seed(51).generator()
         sampler = apps._PurifiedSampler(inst, eps)
-        assert sampler.final_delta <= eps
+        assert sampler.machine.delta_table[-1] <= eps
         bad = 0
         n = 10**4
         for _ in range(n):
@@ -229,11 +229,9 @@ class TestMixedness:
         trace = iterate(delta0, Dimension.finite(d), n)
         hits = 0
         runs = 3000
+        machine = StackMachine(d, trace.deltas, trace.ps)
         for i in range(runs):
-            machine = StackMachine(
-                d, trace.deltas, trace.ps, SeededOutcomes(Seed(60, i).generator())
-            )
-            machine.run()
+            machine.run(SeededOutcomes(Seed(60, i).generator()))
             hits += machine.first_top_success
         p = trace.ps[-1]
         se = (p * (1 - p) / runs) ** 0.5
@@ -246,14 +244,9 @@ class TestMixedness:
         p1 = success_prob(1.0, Dimension.finite(d))
         hits = 0
         runs = 3000
+        machine = StackMachine(d, [1.0] * (n + 1), [p1] * n)
         for i in range(runs):
-            machine = StackMachine(
-                d,
-                [1.0] * (n + 1),
-                [p1] * n,
-                SeededOutcomes(Seed(61, i).generator()),
-            )
-            machine.run()
+            machine.run(SeededOutcomes(Seed(61, i).generator()))
             hits += machine.first_top_success
         se = (p1 * (1 - p1) / runs) ** 0.5
         assert abs(hits / runs - p1) <= 4 * se

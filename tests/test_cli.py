@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -6,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from purestream import applications, recurrence
 from purestream.cli import build_parser, main
 from purestream.recurrence import eta_bound
 
@@ -72,6 +75,24 @@ class TestRecurrenceCommand:
 
     def test_bad_dimension_token(self, capsys):
         assert run_cli(["recurrence", "--d", "banana"]) == 1
+
+    def test_rows_stream_from_the_walk(self, monkeypatch):
+        # the output made by the time each level is walked
+        buf = io.StringIO()
+        written = []
+        walk = recurrence.orbit
+
+        def watched(*args):
+            for level in walk(*args):
+                written.append(buf.getvalue())
+                yield level
+
+        monkeypatch.setattr(recurrence, "orbit", watched)
+        with contextlib.redirect_stdout(buf):
+            assert run_cli(["recurrence", "--d", "2", "--delta0", "0.9", "--iters", "100"]) == 0
+        assert len(written) == 101
+        assert written[0] == ""  # the arguments are checked before any byte
+        assert "\n2,0,0.9,\n" in written[-1]  # the first row is out before the last level
 
 
 class TestBoundsCommand:
@@ -245,6 +266,24 @@ class TestMixednessCommand:
         hist = classes["mixed"]["pass_count_histogram"]
         assert sum(hist.values()) == 60
 
+    def test_one_walk_per_command(self, monkeypatch, capsys):
+        calls = []
+        real = applications.orbit
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(applications, "orbit", counted)
+        applications.mixedness_top_pass_prob.cache_clear()
+        try:
+            assert run_cli(["mixedness", "--d", "3", "--eta", "0.01", "--trials", "20"]) == 0
+        finally:
+            applications.mixedness_top_pass_prob.cache_clear()
+        # the far case walks its orbit once; the mixed case (delta = 1) not at all
+        assert len(calls) == 1
+        assert calls[0][0] == 1 - 0.01 / 2
+
     def test_single_class(self, tmp_path):
         out = tmp_path / "mix2.json"
         assert run_cli(["mixedness", "--case", "far", "--trials", "10",
@@ -332,12 +371,24 @@ HANG_CASES = [
     ["simon", "--m", "2", "--eps", "1e-300"],
     ["mixedness", "--d", "2", "--eta", "1e-9", "--trials", "1"],
 ]
-# degenerate --m lists; each must exit 1 naming --m
-BAD_M_CASES = [
-    ["simon", "--m", ""],
-    ["simon", "--m", "0"],
-    ["simon", "--m", "1"],
-    ["simon", "--m", "64", "--trials", "1"],
+# degenerate arguments, and an unwritable --per-run path; each must exit 1
+# with an error line that names the argument
+BAD_ARG_CASES = [
+    (["simon", "--m", ""], "argument --m: "),
+    (["simon", "--m", "0"], "argument --m: "),
+    (["simon", "--m", "1"], "argument --m: "),
+    (["simon", "--m", "64", "--trials", "1"], "argument --m: "),
+    (["recurrence", "--d", ""], "argument --d: "),
+    (["region", "--d-list", ""], "argument --d-list: "),
+    (["verify", "--tol", "-1"], "argument --tol: "),
+    (["verify", "--tol", "nan"], "argument --tol: "),
+    (["mixedness", "--tau", "2"], "threshold "),
+    (["mixedness", "--tau", "nan"], "threshold "),
+    (
+        ["simulate", "--d", "2", "--delta0", "0.3", "--levels", "2", "--runs", "3",
+         "--per-run", "/nonexistent/x.csv"],
+        "/nonexistent/x.csv",
+    ),
 ]
 EDGE_CASES = [
     ["recurrence", "--iters", "-1"],
@@ -354,7 +405,7 @@ EDGE_CASES = [
     ["verify", "--d", "17"],
     ["verify", "--d", "1"],
     ["verify", "--trials", "0"],
-    *BAD_M_CASES,
+    *(argv for argv, _ in BAD_ARG_CASES),
     ["simon", "--m", "2", "--delta", "0"],
     ["simon", "--m", "2", "--budget", "0"],
     ["mixedness", "--eta", "0"],
@@ -373,9 +424,11 @@ class TestFuzz:
         if argv in HANG_CASES:
             assert proc.returncode == 1
             assert proc.stderr.startswith("error: ")
-        if argv in BAD_M_CASES:
-            assert proc.returncode == 1
-            assert "error: argument --m: " in proc.stderr
+        for bad, name in BAD_ARG_CASES:
+            if argv == bad:
+                assert proc.returncode == 1
+                error = proc.stderr.splitlines()[-1]
+                assert error.startswith("error: ") and name in error
 
 
 class TestParserReuse:

@@ -28,8 +28,8 @@ RUNS = json.loads((GOLDEN / "stack_machine.json").read_text())
 CLI = json.loads((GOLDEN / "cli_sha256.json").read_text())
 
 
-def run_record(machine):
-    st = machine.run()
+def run_record(machine, outcomes):
+    st = machine.run(outcomes)
     return {
         "stats": [st.copies_consumed, st.swap_attempts, st.max_stack_depth,
                   st.final_delta, st.gate_count],
@@ -44,15 +44,15 @@ def test_seeded_runs(point):
     delta0, d, n = point["point"]
     for i, want in enumerate(point["runs"]):
         gen = Seed(point["seed"], i).generator()
-        machine = StackMachine.for_protocol(delta0, d, n, gen)
-        assert run_record(machine) == want, i
+        machine = StackMachine.for_protocol(delta0, d, n)
+        assert run_record(machine, gen) == want, i
 
 
 def test_forced_runs():
     for case in RUNS["forced"]:
         delta0, d, n = case["point"]
         outcomes = ForcedOutcomes(bit == "1" for bit in case["outcomes"])
-        got = run_record(StackMachine.for_protocol(delta0, d, n, outcomes))
+        got = run_record(StackMachine.for_protocol(delta0, d, n), outcomes)
         want = {k: case[k] for k in got}
         assert got == want, case["point"]
 
@@ -63,20 +63,21 @@ def test_shared_generator_block_schedule():
     rng = Seed(RUNS["shared"]["seed"]).generator()
     for case in RUNS["shared"]["runs"]:
         delta0, d, n = case["point"]
-        got = run_record(StackMachine.for_protocol(delta0, d, n, SeededOutcomes(rng)))
+        got = run_record(StackMachine.for_protocol(delta0, d, n), SeededOutcomes(rng))
         got["next_draw"] = float(rng.random())
         assert got == {k: case[k] for k in got}, case["point"]
 
 
 def test_machine_rerun_resets_artifacts():
     # a second run continues on the same draws and matches a fresh machine there
-    machine = StackMachine.for_protocol(0.6, 8, 6, Seed(701, 0).generator())
-    first = run_record(machine)
-    second = run_record(machine)
+    machine = StackMachine.for_protocol(0.6, 8, 6)
+    shared = SeededOutcomes(Seed(701, 0).generator())
+    first = run_record(machine, shared)
+    second = run_record(machine, shared)
     outcomes = SeededOutcomes(Seed(701, 0).generator())
-    StackMachine.for_protocol(0.6, 8, 6, outcomes).run()
+    StackMachine.for_protocol(0.6, 8, 6).run(outcomes)
     assert first == RUNS["seeded"][1]["runs"][0]
-    assert second == run_record(StackMachine.for_protocol(0.6, 8, 6, outcomes))
+    assert second == run_record(StackMachine.for_protocol(0.6, 8, 6), outcomes)
 
 
 # n = 1, the golden points' (0.6, 8, 6), and two long runs (~2,300 and ~3,400

@@ -25,6 +25,7 @@ from purestream.recurrence import (
     n_upper_inf,
     optimal_fidelity_asymptotic,
     optimal_protocol_samples,
+    orbit,
     sc_theorem_bound,
     success_prob,
     tomography_sample_estimate,
@@ -133,10 +134,11 @@ class TestIterate:
         assert i_star(0.99, INFINITE) == 104
 
     def test_entries_rows(self):
+        # the rows of the recurrence command: (delta_i, kappa_i, p_i), p_0 = None
         tr = iterate(0.4, 2, 2)
-        rows = list(tr.entries())
-        assert rows[0] == (0, 0.4, None)
-        assert rows[1][2] == tr.ps[0]
+        rows = list(orbit(0.4, 2, 2))
+        assert rows[0] == (0.4, 0.6, None)
+        assert rows == list(zip(tr.deltas, tr.kappas, (None, *tr.ps)))
 
     def test_extreme_noise_kappa_path_keeps_precision(self):
         # delta_0 within 1e-12 of the fixed point: the kappa path must

@@ -26,8 +26,8 @@ class TestDegenerateAndRigged:
         assert purify_recursive(0.37, 2, 0, Seed(0)) == st
 
     def test_one_level_always_success(self):
-        machine = StackMachine.for_protocol(0.3, 2, 1, always_succeed())
-        st = machine.run()
+        machine = StackMachine.for_protocol(0.3, 2, 1)
+        st = machine.run(always_succeed())
         assert st.copies_consumed == 2
         assert st.swap_attempts == 1
         assert st.max_stack_depth == 2
@@ -109,9 +109,9 @@ class TestStructuralInvariants:
         trace = iterate(delta0, Dimension.finite(d), n)
         att = np.zeros(n, dtype=int)
         suc = np.zeros(n, dtype=int)
+        machine = StackMachine.for_protocol(delta0, d, n)
         for i in range(4000):
-            machine = StackMachine.for_protocol(delta0, d, n, Seed(6, i))
-            machine.run()
+            machine.run(Seed(6, i))
             att += machine.level_attempts
             suc += machine.level_successes
         assert att[0] >= 10**4  # level 0 dominates the attempt counts
@@ -119,6 +119,23 @@ class TestStructuralInvariants:
             p = trace.ps[lev]
             se = (p * (1 - p) / att[lev]) ** 0.5
             assert abs(suc[lev] / att[lev] - p) <= 4 * se
+
+    def test_one_machine_serves_many_runs(self):
+        # a run leaves fresh per-level lists on the machine, so lists kept by
+        # reference after each run still hold that run's counts at the end
+        delta0, d, n = 0.6, 8, 6
+        machine = StackMachine.for_protocol(delta0, d, n)
+        kept = []
+        for i in range(40):
+            stats = machine.run(Seed(712, i))
+            kept.append((stats, machine.level_attempts, machine.level_successes,
+                         machine.first_top_success))
+        assert len({id(k[1]) for k in kept}) == len({id(k[2]) for k in kept}) == 40
+        for i, record in enumerate(kept):
+            fresh = StackMachine.for_protocol(delta0, d, n)
+            stats = fresh.run(Seed(712, i))
+            assert record == (stats, fresh.level_attempts, fresh.level_successes,
+                              fresh.first_top_success), i
 
 
 class TestRecursiveEquivalence:
@@ -236,7 +253,7 @@ class TestProtocolEntry:
     ENTRIES = {
         "purify_streaming": lambda n: purify_streaming(0.3, 2, n, 1),
         "purify_recursive": lambda n: purify_recursive(0.3, 2, n, 1),
-        "for_protocol": lambda n: StackMachine.for_protocol(0.3, 2, n, 1),
+        "for_protocol": lambda n: StackMachine.for_protocol(0.3, 2, n),
     }
 
     @pytest.mark.parametrize("entry", ENTRIES)

@@ -5,7 +5,9 @@ copy of rho' = (1-delta)|Psi><Psi| + delta I/2^(2m), which is exactly a
 depolarized pure state in dimension 2^(2m).  Purifying batches of
 queries down to a small residual error makes the measured strings y
 almost always satisfy y . s = 0, so plain GF(2) reconstruction works and
-the hard "learning with errors" decoding never arises.
+the hard "learning with errors" decoding never arises.  The purifier's
+tables depend only on (delta, d, eps), so they are built once per size
+and shared by every trial and sample.
 
 Mixedness testing: under the promise that the stream is either
 maximally mixed or a depolarized pure state at least eta-far from I/d,
@@ -23,8 +25,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import Dimension, as_generator, check_dim, check_open_unit
-from .recurrence import iterations_to, orbit, success_prob
-from .streaming import SeededOutcomes, StackMachine
+from .recurrence import RecurrenceTrace, iterations_to, orbit, success_prob
+from .streaming import StackMachine, protocol_trace
 
 __all__ = [
     "SimonInstance",
@@ -142,44 +144,50 @@ def _insert(v: int, pivots: dict[int, int]):
         v ^= pivots[pos]
 
 
-class _PurifiedSampler:
-    """Draws purified measurement outcomes y for one Simon instance.
+@functools.cache
+def _purifier_trace(delta: float, d: int, eps_target: float) -> RecurrenceTrace:
+    """Tables of the per-sample purifier, from oracle error delta to below eps_target.
 
-    Builds one stack machine; each sample runs it (one oracle query per raw
-    copy) and then measures the purified state's first register: the
-    surviving ideal branch gives y uniform on the subspace s-perp, the
-    depolarized branch gives y uniform over all of {0,1}^m.
+    They depend on (delta, d, eps_target) only, never on the hidden string,
+    so every trial of a size shares one walk; protocol_trace caps the run.
     """
+    if not (0.0 < eps_target < delta):
+        raise ValueError("eps_target must lie in (0, oracle_delta)")
+    return protocol_trace(delta, d, iterations_to(delta, Dimension.finite(d), eps_target))
 
-    def __init__(self, instance: SimonInstance, eps_target: float):
-        if not (0.0 < eps_target < instance.oracle_delta):
-            raise ValueError("eps_target must lie in (0, oracle_delta)")
-        self.instance = instance
-        d, delta = instance.oracle_dim, instance.oracle_delta
-        self.n = iterations_to(delta, Dimension.finite(d), eps_target)
-        # capped per sample: the budget is a ceiling a trial seldom reaches
-        self.machine = StackMachine.for_protocol(delta, d, self.n)
-        # Lowest set bit of s: flipping it maps y with y.s = 1 onto s-perp.
-        self.fix_bit = instance.s_mask & -instance.s_mask
 
-    def sample_ideal_y(self, rng: np.random.Generator) -> int:
-        y = int(rng.integers(0, 1 << self.instance.m))
-        if _parity(y & self.instance.s_mask):
-            y ^= self.fix_bit
-        return y
+def _purifier(instance: SimonInstance, eps_target: float) -> StackMachine:
+    d = instance.oracle_dim
+    trace = _purifier_trace(instance.oracle_delta, d, eps_target)
+    return StackMachine(d, trace.deltas, trace.ps)
 
-    def sample(self, rng: np.random.Generator) -> tuple[int, int]:
-        stats = self.machine.run(SeededOutcomes(rng))
-        if rng.random() < stats.final_delta:
-            y = int(rng.integers(0, 1 << self.instance.m))  # depolarized branch
-        else:
-            y = self.sample_ideal_y(rng)
-        return y, stats.copies_consumed
+
+def _ideal_y(instance: SimonInstance, rng: np.random.Generator) -> int:
+    """y uniform on s-perp: flipping the lowest set bit of s maps y.s = 1 onto it."""
+    y = int(rng.integers(0, 1 << instance.m))
+    if _parity(y & instance.s_mask):
+        y ^= instance.s_mask & -instance.s_mask
+    return y
+
+
+def _purified_y(instance: SimonInstance, machine: StackMachine, rng) -> tuple[int, int]:
+    """One purified measurement outcome y and the oracle queries it used.
+
+    Runs the purifier (one oracle query per raw copy) and then measures the
+    purified state's first register: the surviving ideal branch gives y
+    uniform on s-perp, the depolarized branch y uniform on {0,1}^m.
+    """
+    stats = machine.run(rng)
+    if rng.random() < stats.final_delta:
+        y = int(rng.integers(0, 1 << instance.m))  # depolarized branch
+    else:
+        y = _ideal_y(instance, rng)
+    return y, stats.copies_consumed
 
 
 def sample_purified_y(instance: SimonInstance, eps_target: float, rng) -> tuple[str, int]:
     """One purified Simon sample: (y bit-string, oracle queries used)."""
-    y, queries = _PurifiedSampler(instance, eps_target).sample(as_generator(rng))
+    y, queries = _purified_y(instance, _purifier(instance, eps_target), as_generator(rng))
     return _mask_to_bits(y, instance.m), queries
 
 
@@ -202,7 +210,7 @@ def solve_simon(
     if budget < 1:
         raise ValueError("budget must be >= 1")
     rng = as_generator(rng)
-    sampler = _PurifiedSampler(instance, eps_target)
+    machine = _purifier(instance, eps_target)
     m = instance.m
 
     queries = 0
@@ -211,7 +219,7 @@ def solve_simon(
 
     def draw():
         nonlocal queries, samples
-        y, q = sampler.sample(rng)
+        y, q = _purified_y(instance, machine, rng)
         queries += q
         samples += 1
         return y

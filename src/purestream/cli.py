@@ -277,7 +277,6 @@ def cmd_verify(args) -> int:
 
 def cmd_simon(args) -> int:
     per_m = {}
-    any_success = False
     all_budget_exhausted = True
     rng_root = Seed(args.seed)
     for idx, m in enumerate(args.m):
@@ -305,7 +304,6 @@ def cmd_simon(args) -> int:
             "mean_queries": float(np.mean(queries)),
             "mean_samples": float(np.mean(samples)),
         }
-        any_success = any_success or successes > 0
         all_budget_exhausted = all_budget_exhausted and exhausted == args.trials
     params = {
         "m": args.m,
@@ -316,9 +314,8 @@ def cmd_simon(args) -> int:
     }
     meta = _meta("simon-v1", "simon", params, args.seed)
     _write_lines(args.out, [_json_doc(meta, {"per_m": per_m})])
-    if all_budget_exhausted and not any_success:
-        return EXIT_BUDGET
-    return EXIT_OK
+    # a trial that runs out of samples fails, so none succeeded
+    return EXIT_BUDGET if all_budget_exhausted else EXIT_OK
 
 
 def cmd_mixedness(args) -> int:
@@ -458,6 +455,10 @@ def main(argv=None) -> int:
         # an overflow, or a division by a product that underflowed to 0
         kind = "overflow" if isinstance(exc, OverflowError) else "error"
         print(f"error: numeric {kind}: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except MemoryError as exc:
+        # a count so large that numpy cannot allocate its array
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
 

@@ -58,10 +58,6 @@ class Dimension:
             raise ValueError("finite() requires an integer dimension")
         return cls(int(d))
 
-    @classmethod
-    def infinite(cls) -> "Dimension":
-        return cls(None)
-
     @property
     def is_finite(self) -> bool:
         return self.d is not None

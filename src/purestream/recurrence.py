@@ -113,13 +113,6 @@ class RecurrenceTrace:
     ps: tuple[float, ...]
     kappas: tuple[float, ...]
 
-    def __len__(self) -> int:
-        return len(self.deltas)
-
-    @property
-    def delta0(self) -> float:
-        return self.deltas[0]
-
     @property
     def final_delta(self) -> float:
         return self.deltas[-1]

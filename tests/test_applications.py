@@ -78,12 +78,11 @@ class TestSampleDistribution:
     def test_ideal_marginal_uniform_on_s_perp_chisquare(self):
         # m = 3, 10^4 draws, alpha = 0.01
         inst = SimonInstance(3, "101", 0.5)
-        sampler = apps._PurifiedSampler(inst, 0.05)
         rng = Seed(50).generator()
         counts = {}
         n = 10**4
         for _ in range(n):
-            y = sampler.sample_ideal_y(rng)
+            y = apps._ideal_y(inst, rng)
             counts[y] = counts.get(y, 0) + 1
         s_perp = [y for y in range(8) if bin(y & 0b101).count("1") % 2 == 0]
         assert sorted(counts) == s_perp
@@ -117,12 +116,12 @@ class TestSampleDistribution:
         inst = SimonInstance(2, "11", 0.5)
         eps = 0.05
         rng = Seed(51).generator()
-        sampler = apps._PurifiedSampler(inst, eps)
-        assert sampler.machine.delta_table[-1] <= eps
+        machine = apps._purifier(inst, eps)
+        assert machine.delta_table[-1] <= eps
         bad = 0
         n = 10**4
         for _ in range(n):
-            y, _ = sampler.sample(rng)
+            y, _ = apps._purified_y(inst, machine, rng)
             bad += bin(y & inst.s_mask).count("1") % 2
         # only the depolarized branch can violate, and then only half the
         # time, so the violation rate is final_delta / 2 < eps / 2
@@ -132,7 +131,7 @@ class TestSampleDistribution:
         inst = SimonInstance(2, "10", 0.4)
         y, queries = sample_purified_y(inst, 0.1, Seed(52))
         assert len(y) == 2 and set(y) <= {"0", "1"}
-        assert queries >= 2 ** apps._PurifiedSampler(inst, 0.1).n
+        assert queries >= 2 ** apps._purifier(inst, 0.1).n
 
     def test_rejects_eps_at_least_delta(self):
         inst = SimonInstance(2, "10", 0.4)

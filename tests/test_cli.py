@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from purestream import applications, recurrence
+from purestream import applications, recurrence, streaming
 from purestream.cli import build_parser, main
 from purestream.recurrence import eta_bound
 
@@ -252,6 +252,23 @@ class TestSimonCommand:
         doc = json.loads(out.read_text())
         assert set(doc["per_m"]) == {"2", "3"}
 
+    def test_one_walk_per_size(self, monkeypatch, capsys):
+        calls = []
+        real = applications.iterations_to
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(applications, "iterations_to", counted)
+        applications._purifier_trace.cache_clear()
+        try:
+            assert run_cli(["simon", "--m", "2,3", "--trials", "20"]) == 0
+        finally:
+            applications._purifier_trace.cache_clear()
+        # one walk per register size 4^m, shared by all 20 trials of it
+        assert [str(args[1]) for args in calls] == ["16", "64"]
+
 
 class TestMixednessCommand:
     def test_both_classes(self, tmp_path):
@@ -349,6 +366,30 @@ class TestOverflow:
         assert out == ""
         assert err.startswith("error: numeric error: float division by zero")
         assert "Traceback" not in err
+
+
+class TestOutOfMemory:
+    # a count too large to allocate raises numpy's MemoryError subclass deep
+    # in a command (mixedness --reps 10000000000, simulate --runs 400000000);
+    # raised here by a stand-in, so nothing is allocated
+    @pytest.mark.parametrize(
+        "owner, name, argv",
+        [
+            (applications, "mixedness_test", ["mixedness", "--trials", "1"]),
+            (streaming, "monte_carlo",
+             ["simulate", "--d", "2", "--delta0", "0.01", "--levels", "1"]),
+        ],
+        ids=["mixedness", "simulate"],
+    )
+    def test_memory_error_is_usage_error(self, owner, name, argv, monkeypatch, capsys):
+        def no_memory(*args, **kwargs):
+            raise MemoryError("Unable to allocate 74.5 GiB")
+
+        monkeypatch.setattr(owner, name, no_memory)
+        assert run_cli(argv) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: out of memory: Unable to allocate 74.5 GiB\n"
 
 
 class TestNoHang:

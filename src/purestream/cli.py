@@ -78,15 +78,25 @@ def _m_list(text: str) -> list[int]:
     return ms
 
 
-def _meta(schema: str, command: str, params: dict, seed: int | None) -> dict:
+def _meta(schema: str, args, *unechoed: str) -> dict:
+    """The meta block: the parsed arguments, less the common and `unechoed` ones."""
+    skip = {"command", "func", "seed", "out", *unechoed}
+    params = {k: _echo(v) for k, v in vars(args).items() if k not in skip}
     return {
         "tool": "purestream",
         "version": __version__,
         "schema": schema,
-        "command": command,
+        "command": args.command,
         "params": params,
-        "seed": seed,
+        "seed": args.seed,
     }
+
+
+def _echo(value):
+    """A parsed argument as the meta block shows it: a Dimension as its str."""
+    if isinstance(value, list):
+        return [_echo(v) for v in value]
+    return str(value) if isinstance(value, Dimension) else value
 
 
 def _open(path: str | None):
@@ -133,28 +143,20 @@ def _json_doc(meta: dict, payload: dict) -> str:
 
 
 def cmd_recurrence(args) -> int:
-    params = {
-        "d": [str(dm) for dm in args.d],
-        "delta0": args.delta0,
-        "iters": args.iters,
-    }
     # rows come straight from the walk; no dimension's orbit is held
     rows = (
         (str(dm), i, delta_i, p_i)
         for dm in args.d
         for i, (delta_i, _, p_i) in enumerate(recurrence.orbit(args.delta0, dm, args.iters))
     )
-    meta = _meta("recurrence-v1", "recurrence", params, args.seed)
-    _write_lines(args.out, _csv(meta, ["d", "i", "delta_i", "p_i"], rows))
+    _write_lines(args.out, _csv(_meta("recurrence-v1", args), ["d", "i", "delta_i", "p_i"], rows))
     return EXIT_OK
 
 
 def cmd_bounds(args) -> int:
-    dm = as_dimension(args.d)
-    d = dm.require_finite("bounds")
-    delta0, eps = args.delta0, args.eps
-    n_direct = recurrence.iterations_to(delta0, dm, eps)
-    trace = recurrence.iterate(delta0, dm, n_direct)
+    d, delta0, eps = args.d, args.delta0, args.eps
+    n_direct = recurrence.iterations_to(delta0, d, eps)
+    trace = recurrence.iterate(delta0, d, n_direct)
     sc_exact = trace.expected_copies
     high_noise = delta0 > 2.0 / 3.0
     table = {
@@ -169,13 +171,12 @@ def cmd_bounds(args) -> int:
         "tomography_collective": recurrence.tomography_sample_estimate(d, delta0, eps, True),
         "tomography_single_copy": recurrence.tomography_sample_estimate(d, delta0, eps, False),
     }
-    params = {"d": d, "delta0": delta0, "eps": eps}
-    meta = _meta("bounds-v1", "bounds", params, args.seed)
+    meta = _meta("bounds-v1", args, "format")
     if args.format == "json":
         _write_lines(args.out, [_json_doc(meta, {"bounds": table})])
     else:
         lines = [f"# {k}: {v}" for k, v in meta.items() if k != "params"]
-        lines.append(f"# params: {json.dumps(params, sort_keys=True)}")
+        lines.append(f"# params: {json.dumps(meta['params'], sort_keys=True)}")
         width = max(len(k) for k in table)
         for key, value in table.items():
             lines.append(f"{key:<{width}}  {'N/A' if value is None else value}")
@@ -187,15 +188,13 @@ def cmd_region(args) -> int:
     if args.resolution > MAX_RESOLUTION:
         raise _UsageExit(f"--resolution must be at most {MAX_RESOLUTION}, got {args.resolution}")
     dims = args.d_list
-    params = {"d_list": [str(dm) for dm in dims], "resolution": args.resolution}
     grid = np.linspace(0.0, 1.0, args.resolution + 2)[1:-1].tolist()
     rows = (
         (str(dm), delta1, gadget.region_boundary(delta1, dm)) for dm in dims for delta1 in grid
     )
     # d = inf is exact since region-v2; without it the bytes are region-v1's
     schema = "region-v1" if all(dm.is_finite for dm in dims) else "region-v2"
-    meta = _meta(schema, "region", params, args.seed)
-    _write_lines(args.out, _csv(meta, ["d", "delta1", "delta2_boundary"], rows))
+    _write_lines(args.out, _csv(_meta(schema, args), ["d", "delta1", "delta2_boundary"], rows))
     return EXIT_OK
 
 
@@ -209,14 +208,7 @@ def cmd_simulate(args) -> int:
         jobs=args.jobs,
         keep_samples=True,
     )
-    params = {
-        "d": args.d,
-        "delta0": args.delta0,
-        "levels": args.levels,
-        "runs": args.runs,
-        "jobs": args.jobs,
-    }
-    meta = _meta("simulate-v1", "simulate", params, args.seed)
+    meta = _meta("simulate-v1", args, "per_run")
     payload = {
         "summary": {
             "mean_copies": summary.mean_copies,
@@ -261,8 +253,7 @@ def cmd_verify(args) -> int:
         worst_prob = max(worst_prob, float(dp))
         worst_state = max(worst_state, float(ds))
     ok = bool(worst_prob <= tol and worst_state <= tol)
-    params = {"d": args.d, "trials": args.trials, "tol": tol}
-    meta = _meta("verify-v2", "verify", params, args.seed)
+    meta = _meta("verify-v2", args, "jobs")
     payload = {
         "report": {
             "max_prob_deviation": worst_prob,
@@ -305,15 +296,7 @@ def cmd_simon(args) -> int:
             "mean_samples": float(np.mean(samples)),
         }
         all_budget_exhausted = all_budget_exhausted and exhausted == args.trials
-    params = {
-        "m": args.m,
-        "delta": args.delta,
-        "eps": args.eps,
-        "trials": args.trials,
-        "budget": args.budget,
-    }
-    meta = _meta("simon-v1", "simon", params, args.seed)
-    _write_lines(args.out, [_json_doc(meta, {"per_m": per_m})])
+    _write_lines(args.out, [_json_doc(_meta("simon-v1", args, "jobs"), {"per_m": per_m})])
     # a trial that runs out of samples fails, so none succeeded
     return EXIT_BUDGET if all_budget_exhausted else EXIT_OK
 
@@ -344,16 +327,7 @@ def cmd_mixedness(args) -> int:
             "error_rate": errors / args.trials,
             "pass_count_histogram": {str(k): v for k, v in sorted(hist.items())},
         }
-    params = {
-        "d": args.d,
-        "eta": args.eta,
-        "case": args.case,
-        "trials": args.trials,
-        "reps": args.reps,
-        "tau": args.tau,
-    }
-    meta = _meta("mixedness-v1", "mixedness", params, args.seed)
-    _write_lines(args.out, [_json_doc(meta, {"classes": classes})])
+    _write_lines(args.out, [_json_doc(_meta("mixedness-v1", args), {"classes": classes})])
     return EXIT_OK
 
 
@@ -371,16 +345,14 @@ def build_parser() -> _Parser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def common(p, jobs_help=None):
         p.add_argument("--seed", type=int, default=0, help="root PRNG seed")
         p.add_argument("--out", default="-", help="output path ('-' for stdout)")
-        p.add_argument(
-            "--jobs",
-            type=_positive_int,
-            default=1,
-            help="parallel workers for simulate, at most one per CPU (other commands "
-            "ignore it); results are independent of the split",
-        )
+        if jobs_help:
+            p.add_argument("--jobs", type=_positive_int, default=1, help=jobs_help)
+
+    # verify and simon accept --jobs, unechoed, for callers that still send it
+    ignored_jobs = "accepted and ignored"
 
     p = sub.add_parser("recurrence", help="error/success-probability curves")
     p.add_argument("--d", type=_dim_list, default="20,50,100,inf", help="list of dimensions")
@@ -390,7 +362,7 @@ def build_parser() -> _Parser:
     p.set_defaults(func=cmd_recurrence)
 
     p = sub.add_parser("bounds", help="iteration/sample-complexity bound table")
-    p.add_argument("--d", required=True)
+    p.add_argument("--d", type=int, required=True)
     p.add_argument("--delta0", type=float, required=True)
     p.add_argument("--eps", type=float, required=True)
     p.add_argument("--format", choices=("text", "json"), default="text")
@@ -411,14 +383,15 @@ def build_parser() -> _Parser:
     p.add_argument("--levels", type=int, required=True)
     p.add_argument("--runs", type=_positive_int, default=10000)
     p.add_argument("--per-run", default=None, help="optional per-run CSV path")
-    common(p)
+    common(p, "parallel worker processes, at most one per CPU; the output does not "
+           "depend on the split")
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("verify", help="dense-oracle equivalence sweep")
     p.add_argument("--d", type=int, default=2)
     p.add_argument("--trials", type=_positive_int, default=100)
     p.add_argument("--tol", type=_tolerance, default=1e-10)
-    common(p)
+    common(p, ignored_jobs)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("simon", help="Simon's problem with a depolarizing oracle")
@@ -427,7 +400,7 @@ def build_parser() -> _Parser:
     p.add_argument("--eps", type=float, default=None, help="default 1/(10m)")
     p.add_argument("--trials", type=_positive_int, default=50)
     p.add_argument("--budget", type=_positive_int, default=None, help="default 10m samples")
-    common(p)
+    common(p, ignored_jobs)
     p.set_defaults(func=cmd_simon)
 
     p = sub.add_parser("mixedness", help="mixedness-testing error rates")

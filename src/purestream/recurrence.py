@@ -185,13 +185,19 @@ def iterations_to(delta0: float, dim, eps: float, cap: int = ITERATION_CAP) -> i
     )
 
 
+def _check_high_noise(**values: float):
+    """Reject, by keyword name, any value outside the high-noise domain (2/3, 1)."""
+    for name, x in values.items():
+        if not (2.0 / 3.0 < x < 1.0):
+            raise ValueError(f"{name} must lie in (2/3, 1), got {x}")
+
+
 def i_star(delta0: float, dim, cap: int = ITERATION_CAP) -> int:
     """Smallest i such that delta_{i+1} < 2/3, for delta_0 in (2/3, 1).
 
     Marks the end of the slow high-noise phase of the recurrence.
     """
-    if not (2.0 / 3.0 < delta0 < 1.0):
-        raise ValueError(f"delta0 must lie in (2/3, 1), got {delta0}")
+    _check_high_noise(delta0=delta0)
     # delta_n <= the largest double below 2/3 exactly when delta_n < 2/3
     return iterations_to(delta0, dim, math.nextafter(2.0 / 3.0, 0.0), cap) - 1
 
@@ -265,8 +271,7 @@ def n_upper_inf(delta: float) -> int:
     Returns N = ceil(1/(1-delta) + 2 ln(1/(1-delta))); after N
     iterations mu_N <= 1 - delta, hence delta_{N+1} < 2/3.
     """
-    if not (2.0 / 3.0 < delta < 1.0):
-        raise ValueError(f"delta must lie in (2/3, 1), got {delta}")
+    _check_high_noise(delta=delta)
     return math.ceil(_high_noise_exponent(1.0 - delta))
 
 
@@ -290,8 +295,7 @@ class FiniteDCoefficients:
 def finite_d_coeffs(d: int, delta: float) -> FiniteDCoefficients:
     """Coefficients (a, b, c, alpha, beta) for the finite-d iteration bound."""
     check_dim(d)
-    if not (2.0 / 3.0 < delta < 1.0):
-        raise ValueError(f"delta must lie in (2/3, 1), got {delta}")
+    _check_high_noise(delta=delta)
     a = (d + 1) / (d + 2)
     b = (d - 2) / (d + 2)
     c = d**3 / (d + 2) ** 3 if d >= 3 else 1.0 / 7.0

@@ -39,6 +39,7 @@ __all__ = [
     "monte_carlo",
     "MonteCarloSummary",
     "MAX_EXPECTED_COPIES",
+    "MAX_RUNS",
     "protocol_trace",
 ]
 
@@ -46,6 +47,10 @@ __all__ = [
 # 2^n / prod p_i, exceeds this: some 8 minutes at the stack machine's
 # ~0.5 us per copy.  The README's simulate example expects 4.5e6 copies.
 MAX_EXPECTED_COPIES = 10**9
+
+# It also refuses more runs than this, since a shallow protocol costs per
+# run, not per copy: at ~50 us per run, 10^7 runs take about 8 minutes too.
+MAX_RUNS = 10**7
 
 # SeededOutcomes draws its uniforms in blocks of FIRST_BLOCK, doubling up
 # to MAX_BLOCK; the goldens pin this schedule.
@@ -57,15 +62,15 @@ def protocol_trace(delta0: float, d: int, n: int, runs: int = 1) -> RecurrenceTr
     """Recurrence tables for `runs` runs of the n-level protocol.
 
     The one entry check of every protocol run: validates the arguments
-    and raises ValueError when runs x 2^n / prod p_i, the expected total
-    of raw copies, exceeds MAX_EXPECTED_COPIES.
+    and raises ValueError when runs exceeds MAX_RUNS or runs x 2^n / prod p_i,
+    the expected total of raw copies, exceeds MAX_EXPECTED_COPIES.
     """
     check_open_unit(delta0=delta0)
     check_dim(d)
     if n < 0:
         raise ValueError("n must be non-negative")
-    if runs < 1:
-        raise ValueError("runs must be >= 1")
+    if not 1 <= runs <= MAX_RUNS:
+        raise ValueError(f"runs must lie in 1..MAX_RUNS = {MAX_RUNS:.0e}, got {runs}")
     # in log2: log2 runs + n - sum log2 p_i.  Every p_i <= 1, so n alone is
     # a lower bound, and testing it first keeps the recurrence short.
     log2_cap = math.log2(MAX_EXPECTED_COPIES)
@@ -347,7 +352,8 @@ def monte_carlo(
 
     Deterministic for a fixed (seed, runs), independent of `jobs`: run i
     always draws from sub-stream i of the given seed.  Raises ValueError
-    before any run when runs x expected copies exceeds MAX_EXPECTED_COPIES.
+    before any run when runs exceeds MAX_RUNS or runs x expected copies
+    exceeds MAX_EXPECTED_COPIES.
     """
     trace = protocol_trace(delta0, d, n, runs)
     if n < 1:

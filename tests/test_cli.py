@@ -13,6 +13,11 @@ from purestream.cli import build_parser, main
 from purestream.recurrence import eta_bound
 
 
+# every command's golden argv (tests/test_goldens.py pins their bytes)
+GOLDEN = Path(__file__).resolve().parent / "golden" / "cli_sha256.json"
+GOLDEN_ARGVS = [case["argv"] for case in json.loads(GOLDEN.read_text())]
+
+
 def run_cli(args):
     return main(args)
 
@@ -309,6 +314,40 @@ class TestMixednessCommand:
         assert list(doc["classes"]) == ["far"]
 
 
+# flags that say where or in what form the output goes, not what it holds;
+# the meta block does not echo them, so a re-run passes them again
+OUTPUT_FLAGS = ("--format", "--per-run")
+
+
+def embedded_config(text):
+    """The (params, seed) an output embeds: in its JSON meta, or its '# ' lines."""
+    if text.startswith("{"):
+        meta = json.JSONDecoder().raw_decode(text)[0]["meta"]
+        return meta["params"], meta["seed"]
+    meta = dict(line[2:].split(": ", 1) for line in text.splitlines() if line.startswith("# "))
+    return json.loads(meta["params"]), int(meta["seed"])
+
+
+class TestRoundTrip:
+    @pytest.mark.parametrize("argv", GOLDEN_ARGVS, ids=" ".join)
+    def test_embedded_config_reproduces_output(self, argv, capsys):
+        # the meta block alone must suffice to reproduce the output
+        assert run_cli(argv) == 0
+        first = capsys.readouterr().out
+        params, seed = embedded_config(first)
+        rerun = [argv[0], "--seed", str(seed)]
+        for key, value in params.items():
+            if isinstance(value, list):
+                value = ",".join(map(str, value))
+            if value is not None:
+                rerun += [f"--{key.replace('_', '-')}", str(value)]
+        for flag in OUTPUT_FLAGS:
+            if flag in argv:
+                rerun += argv[argv.index(flag):][:2]
+        assert run_cli(rerun) == 0
+        assert capsys.readouterr().out == first
+
+
 class TestUsageErrors:
     def test_unknown_command(self):
         assert run_cli(["frobnicate"]) == 1
@@ -370,8 +409,8 @@ class TestOverflow:
 
 class TestOutOfMemory:
     # a count too large to allocate raises numpy's MemoryError subclass deep
-    # in a command (mixedness --reps 10000000000, simulate --runs 400000000);
-    # raised here by a stand-in, so nothing is allocated
+    # in a command (mixedness --reps 10000000000, say); raised here by a
+    # stand-in, so nothing is allocated
     @pytest.mark.parametrize(
         "owner, name, argv",
         [
@@ -409,6 +448,8 @@ HANG_CASES = [
     ["recurrence", "--d", "2", "--delta0", "0.5", "--iters", "1000000000"],
     ["region", "--resolution", "1000000000"],
     ["simulate", "--d", "2", "--delta0", "0.3", "--levels", "2000", "--runs", "1"],
+    # under the copy cap (8 x 10^8 copies), over the run cap
+    ["simulate", "--d", "2", "--delta0", "0.01", "--levels", "1", "--runs", "400000000"],
     ["simon", "--m", "2", "--eps", "1e-300"],
     ["mixedness", "--d", "2", "--eta", "1e-9", "--trials", "1"],
 ]
@@ -430,7 +471,15 @@ BAD_ARG_CASES = [
          "--per-run", "/nonexistent/x.csv"],
         "/nonexistent/x.csv",
     ),
+    # --jobs only where something reads or sends it: simulate, verify, simon
+    (["recurrence", "--jobs", "2"], "unrecognized arguments"),
+    (["bounds", "--d", "2", "--delta0", "0.9", "--eps", "1e-2", "--jobs", "2"],
+     "unrecognized arguments"),
+    (["region", "--jobs", "2"], "unrecognized arguments"),
+    (["mixedness", "--jobs", "2"], "unrecognized arguments"),
 ]
+COMMANDS = ["recurrence", "bounds", "region", "simulate", "verify", "simon", "mixedness"]
+HELP_CASES = [[command, "--help"] for command in COMMANDS]
 EDGE_CASES = [
     ["recurrence", "--iters", "-1"],
     ["recurrence", "--d", "2", "--delta0", "1.5"],
@@ -451,6 +500,7 @@ EDGE_CASES = [
     ["simon", "--m", "2", "--budget", "0"],
     ["mixedness", "--eta", "0"],
     ["mixedness", "--reps", "-1"],
+    *HELP_CASES,
 ]
 
 
@@ -462,6 +512,9 @@ class TestFuzz:
         assert "Traceback" not in proc.stderr
         if proc.returncode == 1:
             assert proc.stdout == ""  # arguments are checked before the first byte
+        if argv in HELP_CASES:
+            assert proc.returncode == 0
+            assert proc.stdout.startswith(f"usage: purestream {argv[0]} ")
         if argv in HANG_CASES:
             assert proc.returncode == 1
             assert proc.stderr.startswith("error: ")

@@ -2,11 +2,13 @@ import numpy as np
 import pytest
 
 from copy_moments import copies_moments
+from purestream import streaming
 from purestream.core import Dimension, Seed
 from purestream.recurrence import expected_sample_complexity, iterate
 from purestream.streaming import (
     ForcedOutcomes,
     MAX_EXPECTED_COPIES,
+    MAX_RUNS,
     InvariantViolation,
     StackMachine,
     StreamStats,
@@ -236,6 +238,17 @@ class TestMonteCarlo:
         for n, runs in ((14, 10**5), (2000, 1), (10**9, 1)):
             with pytest.raises(ValueError, match="MAX_EXPECTED_COPIES"):
                 monte_carlo(0.3, 2, n, runs, Seed(0))
+
+    def test_run_cap(self, monkeypatch):
+        # 10^7 + 1 one-level runs expect ~2 x 10^7 copies, under the copy
+        # cap; the run cap refuses them before any run
+        def no_runs(*args):
+            raise AssertionError("a run started")
+
+        monkeypatch.setattr(streaming, "_mc_run_range", no_runs)
+        assert protocol_trace(0.01, 2, 1, MAX_RUNS).ps
+        with pytest.raises(ValueError, match="MAX_RUNS"):
+            monte_carlo(0.01, 2, 1, 10**7 + 1, 0)
 
     def test_rejects_bad_args(self):
         with pytest.raises(ValueError):

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import Dimension, as_generator, check_dim, check_open_unit
-from .recurrence import RecurrenceTrace, iterations_to, orbit, success_prob
+from .recurrence import ITERATION_CAP, RecurrenceTrace, iterations_to, orbit, success_prob
 from .streaming import StackMachine, protocol_trace
 
 __all__ = [
@@ -272,9 +272,12 @@ class MixednessOutcome:
 
 
 def mixedness_levels(eta: float) -> int:
-    """Purifier depth that drives a far-from-mixed stream below 2^-10."""
+    """Purifier depth that drives a far-from-mixed stream below 2^-10, <= ITERATION_CAP."""
     check_open_unit(eta=eta)
-    return math.ceil(15.0 + 2.0 / eta + 2.0 * math.log(2.0 / eta))
+    n = math.ceil(15.0 + 2.0 / eta + 2.0 * math.log(2.0 / eta))
+    if n > ITERATION_CAP:
+        raise ValueError(f"eta = {eta} needs {n} levels, over ITERATION_CAP = {ITERATION_CAP}")
+    return n
 
 
 @functools.cache

@@ -192,9 +192,7 @@ def cmd_region(args) -> int:
     rows = (
         (str(dm), delta1, gadget.region_boundary(delta1, dm)) for dm in dims for delta1 in grid
     )
-    # d = inf is exact since region-v2; without it the bytes are region-v1's
-    schema = "region-v1" if all(dm.is_finite for dm in dims) else "region-v2"
-    _write_lines(args.out, _csv(_meta(schema, args), ["d", "delta1", "delta2_boundary"], rows))
+    _write_lines(args.out, _csv(_meta("region-v3", args), ["d", "delta1", "delta2_boundary"], rows))
     return EXIT_OK
 
 
@@ -380,7 +378,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("simulate", help="Monte Carlo streaming runs")
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--delta0", type=float, required=True)
-    p.add_argument("--levels", type=int, required=True)
+    p.add_argument("--levels", type=_positive_int, required=True)
     p.add_argument("--runs", type=_positive_int, default=10000)
     p.add_argument("--per-run", default=None, help="optional per-run CSV path")
     common(p, "parallel worker processes, at most one per CPU; the output does not "

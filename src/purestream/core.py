@@ -59,10 +59,6 @@ class Dimension:
         return cls(int(d))
 
     @property
-    def is_finite(self) -> bool:
-        return self.d is not None
-
-    @property
     def inv(self) -> float:
         """1/d, or 0.0 in the infinite limit.
 
@@ -124,20 +120,14 @@ class Seed:
         if self.stream_index < 0:
             raise ValueError("stream_index must be non-negative")
 
-    def sequence(self) -> np.random.SeedSequence:
-        return np.random.SeedSequence(self.root_seed, spawn_key=(self.stream_index,))
-
     def generator(self) -> np.random.Generator:
-        return np.random.Generator(np.random.PCG64(self.sequence()))
-
-    def child(self, index: int) -> "np.random.SeedSequence":
-        """Sub-stream for run `index` of a batch driven by this seed."""
-        return np.random.SeedSequence(
-            self.root_seed, spawn_key=(self.stream_index, index)
-        )
+        sequence = np.random.SeedSequence(self.root_seed, spawn_key=(self.stream_index,))
+        return np.random.Generator(np.random.PCG64(sequence))
 
     def child_generator(self, index: int) -> np.random.Generator:
-        return np.random.Generator(np.random.PCG64(self.child(index)))
+        """Sub-stream for run `index` of a batch driven by this seed."""
+        sequence = np.random.SeedSequence(self.root_seed, spawn_key=(self.stream_index, index))
+        return np.random.Generator(np.random.PCG64(sequence))
 
 
 def as_generator(seed) -> np.random.Generator:

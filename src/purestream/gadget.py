@@ -84,14 +84,8 @@ def region_boundary(delta1: float, dim) -> float:
 
 
 def _improvement_margin(lo: float, dm: Dimension) -> float:
-    # (1 - lo) w / (1 + w) with w = 2 lo (1 - (1 - 1/d) lo).  Finite d keeps
-    # w and 1 multiplied through by d: the region-v1 bytes pin its rounding,
-    # and the form in 1/d moves the last bits of some rows.
-    if dm.is_finite:
-        d = dm.d
-        w = 2.0 * lo * (d - (d - 1) * lo)
-        return (1.0 - lo) * w / (d + w)
-    w = 2.0 * lo * (1.0 - lo)
+    # (1 - lo) w / (1 + w) with w = 2 lo (1 - (1 - 1/d) lo)
+    w = 2.0 * lo * (1.0 - (1.0 - dm.inv) * lo)
     return (1.0 - lo) * w / (1.0 + w)
 
 

@@ -192,14 +192,14 @@ def _check_high_noise(**values: float):
             raise ValueError(f"{name} must lie in (2/3, 1), got {x}")
 
 
-def i_star(delta0: float, dim, cap: int = ITERATION_CAP) -> int:
+def i_star(delta0: float, dim) -> int:
     """Smallest i such that delta_{i+1} < 2/3, for delta_0 in (2/3, 1).
 
     Marks the end of the slow high-noise phase of the recurrence.
     """
     _check_high_noise(delta0=delta0)
     # delta_n <= the largest double below 2/3 exactly when delta_n < 2/3
-    return iterations_to(delta0, dim, math.nextafter(2.0 / 3.0, 0.0), cap) - 1
+    return iterations_to(delta0, dim, math.nextafter(2.0 / 3.0, 0.0)) - 1
 
 
 def eta_bound(delta: float, i: int) -> float:
@@ -401,19 +401,17 @@ def optimal_protocol_samples(delta: float, d: int, eps: float) -> float:
     return ((d - 1) / d) * delta / (eps * (1.0 - delta) ** 2)
 
 
-def tomography_sample_estimate(
-    d: int, delta: float, eps: float, collective: bool, constant: float = 1.0
-) -> float:
+def tomography_sample_estimate(d: int, delta: float, eps: float, collective: bool) -> float:
     """Samples for purification via full state tomography (order of magnitude).
 
     Estimating rho(delta) to trace-distance eta = (1-delta) eps^2 / 2 and
     outputting the principal eigenvector yields a state eps-close to the
     target.  Tomography needs ~ d^2/eta^2 copies with collective
     measurements, ~ d^3/eta^2 with single-copy ones.  The big-O constant
-    is not determined by the analysis; ``constant`` = 1 by convention.
+    is not determined by the analysis; it is 1 by convention.
     """
     check_dim(d)
     check_open_unit(delta=delta, eps=eps)
     eta = (1.0 - delta) * eps * eps / 2.0
     dpow = d**2 if collective else d**3
-    return constant * dpow / (eta * eta)
+    return dpow / (eta * eta)

@@ -326,17 +326,15 @@ class MonteCarloSummary:
 def _mc_run_range(machine: StackMachine, seed: Seed, lo, hi):
     n = machine.n
     copies = np.empty(hi - lo, dtype=np.int64)
-    attempts = np.empty(hi - lo, dtype=np.int64)
     lev_att = [0] * n
     lev_suc = [0] * n
     for i in range(lo, hi):
         st = machine.run(SeededOutcomes(seed.child_generator(i)))
         copies[i - lo] = st.copies_consumed
-        attempts[i - lo] = st.swap_attempts
         for lv in range(n):
             lev_att[lv] += machine.level_attempts[lv]
             lev_suc[lv] += machine.level_successes[lv]
-    return copies, attempts, lev_att, lev_suc
+    return copies, lev_att, lev_suc
 
 
 def monte_carlo(
@@ -375,9 +373,8 @@ def monte_carlo(
         parts = [_mc_run_range(machine, root, 0, runs)]
 
     copies = np.concatenate([p[0] for p in parts])
-    attempts = np.concatenate([p[1] for p in parts])
-    lev_att = tuple(int(sum(p[2][lv] for p in parts)) for lv in range(n))
-    lev_suc = tuple(int(sum(p[3][lv] for p in parts)) for lv in range(n))
+    lev_att = tuple(int(sum(p[1][lv] for p in parts)) for lv in range(n))
+    lev_suc = tuple(int(sum(p[2][lv] for p in parts)) for lv in range(n))
 
     summary = MonteCarloSummary(
         delta0=delta0,
@@ -388,7 +385,7 @@ def monte_carlo(
         var_copies=float(copies.var(ddof=1)) if runs > 1 else 0.0,
         min_copies=int(copies.min()),
         max_copies=int(copies.max()),
-        mean_swap_attempts=float(attempts.mean()),
+        mean_swap_attempts=sum(lev_att) / runs,
         max_stack_depth=n + 1,
         theoretical_sc=trace.expected_copies,
         level_attempts=lev_att,

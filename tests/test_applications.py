@@ -186,6 +186,11 @@ class TestMixedness:
     def test_levels_formula(self):
         assert mixedness_levels(0.5) == 22
 
+    def test_levels_capped(self):
+        # 1e-7 needs 20,000,049 levels, over ITERATION_CAP = 10^6
+        with pytest.raises(ValueError, match="eta"):
+            mixedness_levels(1e-7)
+
     def test_top_pass_prob_mixed_case(self):
         assert mixedness_top_pass_prob(1.0, 2, 0.5) == pytest.approx(0.75, abs=1e-15)
         assert mixedness_top_pass_prob(1.0, 64, 0.5) == pytest.approx(

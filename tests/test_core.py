@@ -25,7 +25,7 @@ class TestDimension:
             Dimension(0)
 
     def test_infinite_variant(self):
-        assert not INFINITE.is_finite
+        assert INFINITE.d is None
         assert INFINITE.inv == 0.0
         assert str(INFINITE) == "inf"
         with pytest.raises(ValueError):

@@ -1,8 +1,13 @@
+import math
+from fractions import Fraction
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from purestream.core import INFINITE, Dimension
+from purestream import gadget
+from purestream.core import INFINITE, Dimension, as_dimension
 from purestream.gadget import (
     gadget_outcome,
     improves_both,
@@ -96,7 +101,7 @@ class TestImprovesBoth:
 
     def test_agrees_with_direct_comparison(self):
         grid = [i / 41 for i in range(1, 41)]
-        for d in (2, 6, INFINITE):
+        for d in (2, 3, 6, 1000, INFINITE):
             for d1 in grid:
                 for d2 in grid:
                     direct = swap_output_delta(d1, d2, d) < min(d1, d2)
@@ -127,6 +132,51 @@ class TestRegionBoundary:
             limit = region_boundary(d1, INFINITE)
             assert limit <= region_boundary(d1, 10**6) + 1e-15
             assert limit == pytest.approx(region_boundary(d1, 10**9), abs=1e-8)
+
+
+def _exact_margin(lo: float, d) -> Fraction:
+    """(1 - lo) w / (1 + w), w = 2 lo (1 - (1 - 1/d) lo), in exact rationals."""
+    lo = Fraction(lo)
+    r = Fraction(0) if d is INFINITE else Fraction(1, d)
+    w = 2 * lo * (1 - (1 - r) * lo)
+    return (1 - lo) * w / (1 + w)
+
+
+class TestMarginFormula:
+    GRID = [i / 41 for i in range(1, 41)]
+    DIMS = (2, 3, 6, 50, 1000, INFINITE)
+
+    def test_margin_matches_exact_rational(self):
+        # the one 1/d formula, for every d, to a few ulp of the exact margin
+        for d in self.DIMS:
+            for lo in self.GRID:
+                exact = _exact_margin(lo, d)
+                got = Fraction(gadget._improvement_margin(lo, as_dimension(d)))
+                assert abs(got - exact) <= 1e-14 * exact
+
+    def test_boundary_matches_exact_rational(self):
+        # region_boundary(lo) - lo would also carry the rounding of lo + margin,
+        # up to ~5e-14 relative near lo = 1, so the boundary is held in ulp
+        for d in self.DIMS:
+            for lo in self.GRID:
+                boundary = region_boundary(lo, d)
+                exact = Fraction(lo) + _exact_margin(lo, d)
+                assert abs(Fraction(boundary) - exact) <= 2 * Fraction(math.ulp(boundary))
+
+    def test_region_v2_rows_unchanged_at_two_and_infinity(self):
+        # the region-v2 expressions: d-scaled at finite d, and the 1/d form at
+        # d = inf; at d = 2 the scalings by 2 are exact, so all bits agree
+        def v2_margin(lo, d):
+            if d is INFINITE:
+                w = 2.0 * lo * (1.0 - lo)
+                return (1.0 - lo) * w / (1.0 + w)
+            w = 2.0 * lo * (d - (d - 1) * lo)
+            return (1.0 - lo) * w / (d + w)
+
+        grid = np.linspace(0.0, 1.0, 202)[1:-1].tolist()  # region's default grid
+        for d in (2, INFINITE):
+            for lo in grid:
+                assert region_boundary(lo, d) == min(1.0, lo + v2_margin(lo, d))
 
 
 class TestGadgetOutcome:

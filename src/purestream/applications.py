@@ -21,12 +21,14 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .core import Dimension, as_generator, check_dim, check_open_unit
 from .recurrence import ITERATION_CAP, RecurrenceTrace, iterations_to, orbit, success_prob
 from .streaming import StackMachine, protocol_trace
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "SimonInstance",

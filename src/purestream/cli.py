@@ -18,11 +18,9 @@ import itertools
 import json
 import sys
 
-import numpy as np
-
 from . import __version__
 from .core import Dimension, Seed, as_dimension
-from . import applications, dense_oracle, gadget, recurrence, streaming
+from . import applications, gadget, recurrence, streaming
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -188,12 +186,18 @@ def cmd_region(args) -> int:
     if args.resolution > MAX_RESOLUTION:
         raise _UsageExit(f"--resolution must be at most {MAX_RESOLUTION}, got {args.resolution}")
     dims = args.d_list
-    grid = np.linspace(0.0, 1.0, args.resolution + 2)[1:-1].tolist()
+    grid = _region_grid(args.resolution)
     rows = (
         (str(dm), delta1, gadget.region_boundary(delta1, dm)) for dm in dims for delta1 in grid
     )
     _write_lines(args.out, _csv(_meta("region-v3", args), ["d", "delta1", "delta2_boundary"], rows))
     return EXIT_OK
+
+
+def _region_grid(resolution: int) -> list[float]:
+    """The points i/(R + 1), i = 1..R: np.linspace(0, 1, R + 2)[1:-1], bit for bit."""
+    step = 1.0 / (resolution + 1)
+    return [i * step for i in range(1, resolution + 1)]
 
 
 def cmd_simulate(args) -> int:
@@ -230,6 +234,8 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from . import dense_oracle
+
     if args.d > dense_oracle.MAX_DIM:
         raise _UsageExit(f"dense oracle is capped at d <= {dense_oracle.MAX_DIM}")
     tol = args.tol
@@ -273,8 +279,8 @@ def cmd_simon(args) -> int:
         budget = args.budget if args.budget is not None else 10 * m
         successes = 0
         exhausted = 0
-        queries = []
-        samples = []
+        queries = 0
+        samples = 0
         for trial in range(args.trials):
             rng = rng_root.child_generator(idx * args.trials + trial)
             s_mask = int(rng.integers(1, 1 << m))
@@ -282,16 +288,17 @@ def cmd_simon(args) -> int:
             result = applications.solve_simon(inst, eps, budget, rng)
             successes += result.success
             exhausted += result.s_hat is None
-            queries.append(result.total_oracle_queries)
-            samples.append(result.samples_collected)
+            queries += result.total_oracle_queries
+            samples += result.samples_collected
         per_m[str(m)] = {
             "eps_target": eps,
             "budget": budget,
             "trials": args.trials,
             "success_rate": successes / args.trials,
             "budget_exhausted": exhausted,
-            "mean_queries": float(np.mean(queries)),
-            "mean_samples": float(np.mean(samples)),
+            # exact integer sums, so the one rounding is the division
+            "mean_queries": queries / args.trials,
+            "mean_samples": samples / args.trials,
         }
         all_budget_exhausted = all_budget_exhausted and exhausted == args.trials
     _write_lines(args.out, [_json_doc(_meta("simon-v1", args, "jobs"), {"per_m": per_m})])

@@ -12,14 +12,19 @@ This module is the one home of the conventions the others share: the
 dimension type and its ``inv`` (1/d, 0 at d = inf, the only way the
 analytic maps see d), the checks on unit-interval arguments and on
 integer dimensions, and the coercion of a seed to a numpy Generator.
+
+numpy loads on the first ``Seed`` generator or ``as_generator`` call, not
+on import: the analytic modules and the CLI parser never need it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "Dimension",
@@ -121,17 +126,23 @@ class Seed:
             raise ValueError("stream_index must be non-negative")
 
     def generator(self) -> np.random.Generator:
+        import numpy as np
+
         sequence = np.random.SeedSequence(self.root_seed, spawn_key=(self.stream_index,))
         return np.random.Generator(np.random.PCG64(sequence))
 
     def child_generator(self, index: int) -> np.random.Generator:
         """Sub-stream for run `index` of a batch driven by this seed."""
+        import numpy as np
+
         sequence = np.random.SeedSequence(self.root_seed, spawn_key=(self.stream_index, index))
         return np.random.Generator(np.random.PCG64(sequence))
 
 
 def as_generator(seed) -> np.random.Generator:
     """A Generator as is; otherwise the stream of a Seed, or of Seed(int(seed))."""
+    import numpy as np
+
     if isinstance(seed, np.random.Generator):
         return seed
     if isinstance(seed, Seed):

@@ -9,8 +9,9 @@ module can check it by direct linear algebra.
 S is a permutation of the joint indices, so the projected state
 P J P = (J + SJS +- (SJ + JS))/4 is never formed: each term's
 second-register partial trace is one index contraction of J viewed as a
-(d, d, d, d) array.  Memory is the d^4 entries of J; each contraction
-costs O(d^3).  Capped at d <= 16.
+(d, d, d, d) array.  Memory is the d^4 entries of J, one array: J is a
+transposed view of the outer product of rho and sigma, which one
+contiguous pass fills.  Each contraction costs O(d^3).  Capped at d <= 16.
 """
 
 from __future__ import annotations
@@ -105,10 +106,9 @@ def swap_test_apply(rho: np.ndarray, sigma: np.ndarray) -> SwapTestResult:
 
     p0_formula = (1.0 + np.trace(rho @ sigma).real) / 2.0
 
-    # joint[i, j, k, l] = <ij|J|kl>; (SJ)[i,j,k,l] = J[j,i,k,l] and
-    # (JS)[i,j,k,l] = J[i,j,l,k], so each term's partial trace over the
-    # second register is a single contraction of J
-    joint = np.kron(rho, sigma).reshape(d, d, d, d)
+    # (SJ)[i,j,k,l] = J[j,i,k,l] and (JS)[i,j,k,l] = J[i,j,l,k], so each
+    # term's partial trace over the second register is a single contraction
+    joint = _joint(rho, sigma)
     direct = np.einsum("ijkj->ik", joint) + np.einsum("jijk->ik", joint)  # J + SJS
     cross = np.einsum("jikj->ik", joint) + np.einsum("ijjk->ik", joint)  # SJ + JS
     branches = []
@@ -128,6 +128,11 @@ def swap_test_apply(rho: np.ndarray, sigma: np.ndarray) -> SwapTestResult:
             f"swap-test probability cross-check failed: {p0} vs {p0_formula}"
         )
     return SwapTestResult(p0=p0, p1=p1, omega0=branches[0], omega1=branches[1])
+
+
+def _joint(rho: np.ndarray, sigma: np.ndarray) -> np.ndarray:
+    """J = rho (x) sigma as the (d, d, d, d) view J[i, j, k, l] = rho[i, k] sigma[j, l]."""
+    return np.multiply.outer(rho, sigma).transpose(0, 2, 1, 3)
 
 
 def trace_distance(a: np.ndarray, b: np.ndarray) -> float:

@@ -20,11 +20,13 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .core import Dimension, Seed, as_generator, check_dim, check_open_unit
 from .recurrence import RecurrenceTrace, gate_count_estimate, iterate
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "StreamStats",
@@ -324,6 +326,8 @@ class MonteCarloSummary:
 
 
 def _mc_run_range(machine: StackMachine, seed: Seed, lo, hi):
+    import numpy as np
+
     n = machine.n
     copies = np.empty(hi - lo, dtype=np.int64)
     lev_att = [0] * n
@@ -353,6 +357,8 @@ def monte_carlo(
     before any run when runs exceeds MAX_RUNS or runs x expected copies
     exceeds MAX_EXPECTED_COPIES.
     """
+    import numpy as np
+
     trace = protocol_trace(delta0, d, n, runs)
     if n < 1:
         raise ValueError("monte_carlo requires n >= 1")

@@ -6,10 +6,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from purestream import applications, recurrence, streaming
-from purestream.cli import build_parser, main
+from purestream.cli import _region_grid, build_parser, main
 from purestream.recurrence import eta_bound
 
 
@@ -22,15 +23,20 @@ def run_cli(args):
     return main(args)
 
 
-def run_cli_process(argv, timeout):
-    """Run the CLI in a fresh interpreter; a hang fails the test at timeout."""
+def run_python(args, timeout):
+    """Run python with `args` in a fresh interpreter; a hang fails the test at timeout."""
     src = str(Path(__file__).resolve().parent.parent / "src")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     return subprocess.run(
-        [sys.executable, "-m", "purestream.cli", *argv],
+        [sys.executable, *args],
         env=dict(os.environ, PYTHONPATH=path),
         capture_output=True, text=True, timeout=timeout,
     )
+
+
+def run_cli_process(argv, timeout):
+    """Run the CLI in a fresh interpreter; a hang fails the test at timeout."""
+    return run_python(["-m", "purestream.cli", *argv], timeout)
 
 
 def read_csv(path):
@@ -157,6 +163,16 @@ class TestRegionCommand:
         inf_rows = {float(r[1]): float(r[2]) for r in rows if r[0] == "inf"}
         assert len(inf_rows) == 199
         assert inf_rows[0.5] == 2 / 3  # 1/2 + (1/2)(1/2)/(3/2), exactly
+
+    @pytest.mark.parametrize(
+        "resolutions",
+        [range(1, 3000), [10**4, 54321, 10**5]],
+        ids=["1..2999", "large"],
+    )
+    def test_grid_is_linspace_bit_for_bit(self, resolutions):
+        for r in resolutions:
+            assert _region_grid(r) == np.linspace(0.0, 1.0, r + 2)[1:-1].tolist(), r
+
 
 class TestSimulateCommand:
     def test_summary_and_reproducibility(self, tmp_path):
@@ -551,3 +567,51 @@ class TestParserReuse:
             outputs.append(capsys.readouterr().out)
         assert outputs == [self.fresh_process_output(argv)
                            for argv in (self.VERIFY, self.SIMULATE)]
+
+
+# In a fresh interpreter: the import, the parser and every command that
+# needs no numpy leave it unloaded, and a golden simulate then loads it
+# on demand and still gives its golden bytes.
+COLD_START = """
+import contextlib, hashlib, io, json, sys
+import purestream
+from purestream import cli
+
+cli.build_parser()
+report = {"import + build_parser": [0, "numpy" in sys.modules]}
+argvs, golden = json.loads(sys.argv[1])
+for argv in argvs:
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            rc = cli.main(argv)
+        except SystemExit as exc:  # --help and --version exit from argparse
+            rc = exc.code
+    report[" ".join(argv)] = [rc, "numpy" in sys.modules]
+buf = io.StringIO()
+with contextlib.redirect_stdout(buf):
+    rc = cli.main(golden)
+sha = hashlib.sha256(buf.getvalue().encode()).hexdigest()
+print(json.dumps({"report": report, "golden": [rc, sha, "numpy" in sys.modules]}))
+"""
+
+
+class TestColdStart:
+    NUMPY_FREE = {
+        ("recurrence",): 0,
+        ("bounds", "--d", "2", "--delta0", "0.9", "--eps", "1e-2"): 0,
+        ("bounds", "--format", "json", "--d", "8", "--delta0", "0.95", "--eps", "1e-3"): 0,
+        ("region",): 0,
+        ("--version",): 0,
+        ("--help",): 0,
+        ("bounds", "--d", "2"): 1,  # a usage error: --delta0 and --eps are missing
+    }
+
+    def test_numpy_loads_only_on_demand(self):
+        case = next(c for c in json.loads(GOLDEN.read_text()) if c["argv"][0] == "simulate")
+        argvs = [list(argv) for argv in self.NUMPY_FREE]
+        done = run_python(["-c", COLD_START, json.dumps([argvs, case["argv"]])], timeout=120)
+        assert done.returncode == 0, done.stderr
+        result = json.loads(done.stdout)
+        want = {" ".join(argv): [rc, False] for argv, rc in self.NUMPY_FREE.items()}
+        assert result["report"] == {"import + build_parser": [0, False], **want}
+        assert result["golden"] == [0, case["sha256"], True]

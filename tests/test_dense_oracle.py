@@ -1,9 +1,17 @@
+import contextlib
+import hashlib
+import io
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from purestream import cli
 from purestream.core import Seed
 from purestream.dense_oracle import (
     MAX_DIM,
+    _joint,
     make_depolarized,
     random_pure_state,
     swap_test_apply,
@@ -243,6 +251,28 @@ class TestAgainstExplicitSwapOperator:
         rng = Seed(66).generator()
         for rho, sigma in self._pairs(MAX_DIM, rng):
             self._assert_matches(rho, sigma)
+
+
+class TestJointView:
+    """J as the outer-product view, against the Kronecker product it replaces."""
+
+    @pytest.mark.parametrize("d", range(2, MAX_DIM + 1))
+    def test_equals_reshaped_kron(self, d):
+        rng = Seed(80 + d).generator()
+        for rank in (1, max(d // 2, 1), d):
+            rho = _wishart_state(d, rank, rng)
+            sigma = _wishart_state(d, d, rng)
+            assert np.array_equal(_joint(rho, sigma), np.kron(rho, sigma).reshape(d, d, d, d))
+
+    def test_verify_bytes_at_the_cap(self):
+        # the golden verify at d = MAX_DIM, recorded with the kron form
+        argv = ["verify", "--seed", "9", "--trials", "200", "--d", str(MAX_DIM)]
+        golden = Path(__file__).resolve().parent / "golden" / "cli_sha256.json"
+        want = next(c["sha256"] for c in json.loads(golden.read_text()) if c["argv"] == argv)
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf):
+            assert cli.main(argv) == 0
+        assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == want
 
 
 class TestTraceDistance:

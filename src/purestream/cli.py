@@ -210,7 +210,7 @@ def cmd_simulate(args) -> int:
         jobs=args.jobs,
         keep_samples=True,
     )
-    meta = _meta("simulate-v1", args, "per_run")
+    meta = _meta("simulate-v2", args, "per_run")
     payload = {
         "summary": {
             "mean_copies": summary.mean_copies,

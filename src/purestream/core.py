@@ -132,7 +132,7 @@ class Seed:
         return np.random.Generator(np.random.PCG64(sequence))
 
     def child_generator(self, index: int) -> np.random.Generator:
-        """Sub-stream for run `index` of a batch driven by this seed."""
+        """Sub-stream `index`: RUNS_PER_STREAM monte_carlo runs, or one simon trial."""
         import numpy as np
 
         sequence = np.random.SeedSequence(self.root_seed, spawn_key=(self.stream_index, index))

@@ -59,6 +59,10 @@ MAX_RUNS = 10**7
 FIRST_BLOCK = 128
 MAX_BLOCK = 8192
 
+# monte_carlo draws runs i*RUNS_PER_STREAM .. (i+1)*RUNS_PER_STREAM - 1 in
+# order from sub-stream i of its seed; the simulate goldens pin this layout.
+RUNS_PER_STREAM = 1024
+
 
 def protocol_trace(delta0: float, d: int, n: int, runs: int = 1) -> RecurrenceTrace:
     """Recurrence tables for `runs` runs of the n-level protocol.
@@ -326,6 +330,7 @@ class MonteCarloSummary:
 
 
 def _mc_run_range(machine: StackMachine, seed: Seed, lo, hi):
+    """Runs lo..hi-1 of a monte_carlo call; lo must start a stream."""
     import numpy as np
 
     n = machine.n
@@ -333,7 +338,9 @@ def _mc_run_range(machine: StackMachine, seed: Seed, lo, hi):
     lev_att = [0] * n
     lev_suc = [0] * n
     for i in range(lo, hi):
-        st = machine.run(SeededOutcomes(seed.child_generator(i)))
+        if i % RUNS_PER_STREAM == 0:
+            outcomes = SeededOutcomes(seed.child_generator(i // RUNS_PER_STREAM))
+        st = machine.run(outcomes)
         copies[i - lo] = st.copies_consumed
         for lv in range(n):
             lev_att[lv] += machine.level_attempts[lv]
@@ -350,10 +357,12 @@ def monte_carlo(
     jobs: int = 1,
     keep_samples: bool = False,
 ):
-    """Aggregate `runs` independent streaming runs with per-run seed streams.
+    """Aggregate `runs` independent streaming runs, RUNS_PER_STREAM per seed stream.
 
-    Deterministic for a fixed (seed, runs), independent of `jobs`: run i
-    always draws from sub-stream i of the given seed.  Raises ValueError
+    Run i takes the next draws of sub-stream i // RUNS_PER_STREAM of the
+    given seed, after the runs before it in that stream.  Workers split
+    the runs on stream boundaries, so the result is deterministic for a
+    fixed (seed, runs) and independent of `jobs`.  Raises ValueError
     before any run when runs exceeds MAX_RUNS or runs x expected copies
     exceeds MAX_EXPECTED_COPIES.
     """
@@ -365,14 +374,17 @@ def monte_carlo(
     machine = StackMachine(d, trace.deltas, trace.ps)  # one for every run
     root = seed if isinstance(seed, Seed) else Seed(int(seed))
 
+    streams = -(-runs // RUNS_PER_STREAM)
+    workers = 1
     if jobs > 1:
         import multiprocessing
 
         # the results do not depend on the split, so more workers than
-        # CPUs or runs would only start more processes
-        workers = min(jobs, runs, multiprocessing.cpu_count())
-        bounds = np.linspace(0, runs, workers + 1).astype(int)
-        chunks = [(machine, root, int(lo), int(hi)) for lo, hi in zip(bounds[:-1], bounds[1:])]
+        # CPUs or streams would only start more processes
+        workers = min(jobs, streams, multiprocessing.cpu_count())
+    if workers > 1:
+        cuts = [min(streams * k // workers * RUNS_PER_STREAM, runs) for k in range(workers + 1)]
+        chunks = [(machine, root, lo, hi) for lo, hi in zip(cuts[:-1], cuts[1:])]
         with multiprocessing.Pool(workers) as pool:
             parts = pool.starmap(_mc_run_range, chunks)
     else:

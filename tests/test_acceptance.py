@@ -263,30 +263,66 @@ def test_criterion_09_simon_application(simon_battery):
         )
 
 
+# Criterion 10's sampled error counts may leave their exact binomial law
+# with at most this probability, over its four cells together.
+MIXEDNESS_FALSE_ALARM = 1e-6
+
+
+def binom_pmf(trials: int, p: float) -> list[float]:
+    """The Binomial(trials, p) pmf, term by term with math.comb."""
+    return [math.comb(trials, k) * p**k * (1 - p) ** (trials - k) for k in range(trials + 1)]
+
+
+def binom_acceptance(trials: int, p: float, alpha: float) -> tuple[int, int]:
+    """Narrowest [lo, hi] with P(X < lo) and P(X > hi) each <= alpha / 2, X ~ Bin(trials, p)."""
+    pmf = binom_pmf(trials, p)
+    lo, below = 0, pmf[0]
+    while below <= alpha / 2:
+        lo += 1
+        below += pmf[lo]
+    hi, above = trials, pmf[trials]
+    while above <= alpha / 2:
+        hi -= 1
+        above += pmf[hi]
+    return lo, hi
+
+
 def test_criterion_10_mixedness_testing():
     with criterion(10, limit_s=120) as info:
+        # the verdict errs when the pass count of `reps` top-level tests
+        # falls on the wrong side of tau, so a cell's exact per-trial error
+        # is a binomial tail in p_top, and its error count over the trials
+        # is binomial in that error
         eta, reps, tau = 0.5, 20, 0.875
-        trials_per_cell = 200  # 400 per class across the d grid
-        errors = {"mixed": 0, "far": 0}
+        trials_per_cell = 200
+        cells = [(d, name) for d in (2, 64) for name in ("mixed", "far")]
+        alpha = MIXEDNESS_FALSE_ALARM / len(cells)
+        exact = {"mixed": 0.0, "far": 0.0}
         per_cell = {}
         stream = 0
-        for d in (2, 64):
-            for name, case_delta in (("mixed", 1.0), ("far", 1.0 - eta / 2)):
-                want = apps.MAXIMALLY_MIXED if name == "mixed" else apps.FAR_FROM_MIXED
-                cell_errors = 0
-                for _ in range(trials_per_cell):
-                    out = apps.mixedness_test(
-                        case_delta, d, eta, reps, Seed(1, stream), threshold=tau
-                    )
-                    stream += 1
-                    cell_errors += out.verdict != want
-                errors[name] += cell_errors
-                per_cell[(d, name)] = cell_errors / trials_per_cell
+        for d, name in cells:
+            case_delta = 1.0 if name == "mixed" else 1.0 - eta / 2
+            want = apps.MAXIMALLY_MIXED if name == "mixed" else apps.FAR_FROM_MIXED
+            pmf = binom_pmf(reps, apps.mixedness_top_pass_prob(case_delta, d, eta))
+            # the verdict is MAXIMALLY_MIXED exactly when passes / reps < tau
+            wrong = [(k / reps < tau) != (name == "mixed") for k in range(reps + 1)]
+            error = math.fsum(pk for pk, w in zip(pmf, wrong) if w)
+            exact[name] += error / 2  # the two cells of a class hold equal trials
+            cell_errors = 0
+            for _ in range(trials_per_cell):
+                out = apps.mixedness_test(
+                    case_delta, d, eta, reps, Seed(1, stream), threshold=tau
+                )
+                stream += 1
+                cell_errors += out.verdict != want
+            lo, hi = binom_acceptance(trials_per_cell, error, alpha)
+            assert lo <= cell_errors <= hi, (d, name, cell_errors, (lo, hi), error)
+            per_cell[(d, name)] = (cell_errors, round(error * trials_per_cell, 2))
         for name in ("mixed", "far"):
-            assert errors[name] / (2 * trials_per_cell) <= 0.05
+            assert exact[name] <= 0.05
         info["detail"] = (
-            f"pooled errors mixed {errors['mixed']}/400, far {errors['far']}/400; "
-            f"per-cell rates {per_cell}"
+            f"exact pooled error mixed {exact['mixed']:.4f}, far {exact['far']:.2e}; "
+            f"per-cell (errors, exact mean) of {trials_per_cell}: {per_cell}"
         )
 
 

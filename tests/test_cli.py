@@ -212,6 +212,22 @@ class TestSimulateCommand:
         assert header == ["run", "copies_consumed"]
         assert len(rows) == 50
 
+    def test_jobs_split_on_stream_boundaries(self, tmp_path):
+        # three seed streams, the last one partial: --jobs 2 gives the
+        # summary and per-run rows of --jobs 1, and echoes its own --jobs
+        got = {}
+        for jobs in ("1", "2"):
+            out, per_run = tmp_path / f"{jobs}.json", tmp_path / f"{jobs}.csv"
+            assert run_cli(["simulate", "--d", "2", "--delta0", "0.3", "--levels", "3",
+                            "--runs", "2500", "--seed", "8", "--jobs", jobs,
+                            "--out", str(out), "--per-run", str(per_run)]) == 0
+            doc = json.loads(out.read_text())
+            assert doc["meta"]["schema"] == "simulate-v2"
+            assert doc["meta"]["params"]["jobs"] == int(jobs)
+            got[jobs] = (doc["summary"], read_csv(per_run)[1:])
+        assert got["1"] == got["2"]
+        assert len(got["1"][1][1]) == 2500
+
     def test_infinite_dimension_rejected(self):
         assert run_cli(["simulate", "--d", "inf", "--delta0", "0.3",
                         "--levels", "3"]) == 1

@@ -9,7 +9,9 @@ from purestream.streaming import (
     ForcedOutcomes,
     MAX_EXPECTED_COPIES,
     MAX_RUNS,
+    RUNS_PER_STREAM,
     InvariantViolation,
+    SeededOutcomes,
     StackMachine,
     StreamStats,
     _check_balance,
@@ -189,15 +191,35 @@ class TestMonteCarlo:
         summary = monte_carlo(0.7, 3, 6, 2000, Seed(22))
         assert summary.max_stack_depth <= 7
 
+    def test_runs_share_one_stream_in_order(self):
+        # runs k..k+j of stream b are successive machine.run calls on one
+        # SeededOutcomes(root.child_generator(b)), and run RUNS_PER_STREAM
+        # starts stream 1 afresh rather than continuing stream 0
+        point, root, tail = (0.6, 8, 6), Seed(27, 4), 6
+        _, samples = monte_carlo(*point, RUNS_PER_STREAM + tail, root, keep_samples=True)
+        machine = StackMachine.for_protocol(*point)
+        stream0 = SeededOutcomes(root.child_generator(0))
+        want = [machine.run(stream0).copies_consumed for _ in range(RUNS_PER_STREAM)]
+        assert samples[:RUNS_PER_STREAM].tolist() == want
+        stream1 = SeededOutcomes(root.child_generator(1))
+        want = [machine.run(stream1).copies_consumed for _ in range(tail)]
+        assert samples[RUNS_PER_STREAM:].tolist() == want
+        stream0_continued = [machine.run(stream0).copies_consumed for _ in range(tail)]
+        assert want != stream0_continued
+
     def test_jobs_do_not_change_results(self):
-        a = monte_carlo(0.5, 2, 4, 400, Seed(23))
-        b = monte_carlo(0.5, 2, 4, 400, Seed(23), jobs=2)
+        # three streams, the last one partial, split between two workers
+        runs = 2 * RUNS_PER_STREAM + 452
+        a, a_samples = monte_carlo(0.5, 2, 4, runs, Seed(23), keep_samples=True)
+        b, b_samples = monte_carlo(0.5, 2, 4, runs, Seed(23), jobs=2, keep_samples=True)
         assert a == b
+        assert a_samples.tolist() == b_samples.tolist()
 
     def test_workers_capped_at_cpus(self, monkeypatch):
         import multiprocessing
 
         sizes = []
+        starts = []
 
         class SerialPool:
             def __init__(self, processes):
@@ -210,13 +232,25 @@ class TestMonteCarlo:
                 return False
 
             def starmap(self, fn, chunks):
+                starts.extend(chunk[2] for chunk in chunks)
                 return [fn(*chunk) for chunk in chunks]
 
         monkeypatch.setattr(multiprocessing, "Pool", SerialPool)
+        # five streams on three CPUs: one worker per CPU
+        runs = 4 * RUNS_PER_STREAM + 10
         monkeypatch.setattr(multiprocessing, "cpu_count", lambda: 3)
-        summary = monte_carlo(0.5, 2, 3, 40, Seed(26), jobs=1000)
+        summary = monte_carlo(0.5, 2, 3, runs, Seed(26), jobs=1000)
         assert sizes == [3]
-        assert summary == monte_carlo(0.5, 2, 3, 40, Seed(26))
+        assert summary == monte_carlo(0.5, 2, 3, runs, Seed(26))
+        # three streams on 64 CPUs: one worker per stream, and one stream
+        # needs no pool
+        monkeypatch.setattr(multiprocessing, "cpu_count", lambda: 64)
+        monte_carlo(0.5, 2, 3, 2 * RUNS_PER_STREAM + 1, Seed(26), jobs=1000)
+        monte_carlo(0.5, 2, 3, RUNS_PER_STREAM, Seed(26), jobs=1000)
+        assert sizes == [3, 3]
+        # every worker starts on a stream boundary
+        assert starts == [0, RUNS_PER_STREAM, 3 * RUNS_PER_STREAM, 0, RUNS_PER_STREAM,
+                          2 * RUNS_PER_STREAM]
 
     def test_keep_samples(self):
         summary, samples = monte_carlo(0.5, 2, 3, 50, Seed(24), keep_samples=True)

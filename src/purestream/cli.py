@@ -16,6 +16,7 @@ import contextlib
 import functools
 import itertools
 import json
+import os
 import sys
 
 from . import __version__
@@ -201,6 +202,9 @@ def _region_grid(resolution: int) -> list[float]:
 
 
 def cmd_simulate(args) -> int:
+    if args.per_run not in (None, "-") and args.out != "-":
+        if os.path.realpath(args.out) == os.path.realpath(args.per_run):
+            raise _UsageExit(f"--out and --per-run name the same file: {args.per_run}")
     summary, samples = streaming.monte_carlo(
         args.delta0,
         args.d,

@@ -11,7 +11,8 @@ represented except inside the dense validation oracle.
 This module is the one home of the conventions the others share: the
 dimension type and its ``inv`` (1/d, 0 at d = inf, the only way the
 analytic maps see d), the checks on unit-interval arguments and on
-integer dimensions, and the coercion of a seed to a numpy Generator.
+integer dimensions, and the coercion of a seed to a ``Seed`` (``as_seed``)
+and to a numpy Generator (``as_generator``).
 
 numpy loads on the first ``Seed`` generator or ``as_generator`` call, not
 on import: the analytic modules and the CLI parser never need it.
@@ -20,6 +21,7 @@ on import: the analytic modules and the CLI parser never need it.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -31,6 +33,7 @@ __all__ = [
     "INFINITE",
     "as_dimension",
     "Seed",
+    "as_seed",
     "as_generator",
     "check_closed_unit",
     "check_open_unit",
@@ -53,15 +56,12 @@ class Dimension:
 
     def __post_init__(self):
         if self.d is not None:
-            if not isinstance(self.d, int) or isinstance(self.d, bool):
-                raise TypeError(f"finite dimension must be an int, got {self.d!r}")
             check_dim(self.d)
 
     @classmethod
     def finite(cls, d: int) -> "Dimension":
-        if d is None:
-            raise ValueError("finite() requires an integer dimension")
-        return cls(int(d))
+        check_dim(d)
+        return cls(operator.index(d))
 
     @property
     def inv(self) -> float:
@@ -86,22 +86,18 @@ INFINITE = Dimension(None)
 
 
 def as_dimension(dim) -> Dimension:
-    """Coerce ints, math.inf, and the tokens 'inf'/'infinite' to Dimension."""
+    """Coerce integers, integral floats, math.inf, None and 'inf'/'infinite' to Dimension."""
     if isinstance(dim, Dimension):
         return dim
     if isinstance(dim, str):
         if dim.strip().lower() in ("inf", "infinite", "infinity"):
             return INFINITE
         return Dimension.finite(int(dim))
-    if isinstance(dim, float):
-        if math.isinf(dim):
-            return INFINITE
-        if not dim.is_integer():
-            raise ValueError(f"dimension must be an integer or infinite, got {dim}")
-        return Dimension.finite(int(dim))
-    if dim is None:
+    if dim is None or (isinstance(dim, float) and math.isinf(dim)):
         return INFINITE
-    return Dimension.finite(int(dim))
+    if isinstance(dim, float) and dim.is_integer():
+        dim = int(dim)
+    return Dimension.finite(dim)
 
 
 _UINT64_MAX = 2**64 - 1
@@ -120,10 +116,10 @@ class Seed:
     stream_index: int = 0
 
     def __post_init__(self):
-        if not (0 <= self.root_seed <= _UINT64_MAX):
+        _check_integer("root_seed", self.root_seed, 0)
+        _check_integer("stream_index", self.stream_index, 0)
+        if self.root_seed > _UINT64_MAX:
             raise ValueError("root_seed must be a 64-bit unsigned integer")
-        if self.stream_index < 0:
-            raise ValueError("stream_index must be non-negative")
 
     def generator(self) -> np.random.Generator:
         import numpy as np
@@ -139,15 +135,18 @@ class Seed:
         return np.random.Generator(np.random.PCG64(sequence))
 
 
+def as_seed(seed) -> Seed:
+    """A Seed as is; otherwise Seed(seed), which refuses a non-integer."""
+    return seed if isinstance(seed, Seed) else Seed(seed)
+
+
 def as_generator(seed) -> np.random.Generator:
-    """A Generator as is; otherwise the stream of a Seed, or of Seed(int(seed))."""
+    """A Generator as is; otherwise the stream of as_seed(seed)."""
     import numpy as np
 
     if isinstance(seed, np.random.Generator):
         return seed
-    if isinstance(seed, Seed):
-        return seed.generator()
-    return Seed(int(seed)).generator()
+    return as_seed(seed).generator()
 
 
 def check_closed_unit(**values: float):
@@ -165,9 +164,18 @@ def check_open_unit(**values: float):
 
 
 def check_dim(d: int):
-    """Reject an integer dimension below 2."""
-    if d < 2:
-        raise ValueError(f"d must be >= 2, got {d}")
+    """Reject a dimension that is not an integer >= 2 (an int or a numpy integer)."""
+    _check_integer("d", d, 2)
+
+
+def _check_integer(name: str, value, lo: int):
+    """Reject, by name, a value that is not an integer >= lo (an int or a numpy integer)."""
+    try:
+        operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+    if value < lo:
+        raise ValueError(f"{name} must be >= {lo}, got {value}")
 
 
 def fidelity_of_output(delta: float, dim) -> float:

@@ -58,10 +58,12 @@ def make_depolarized(psi: np.ndarray, delta: float) -> np.ndarray:
 
 
 def validate_density_matrix(rho: np.ndarray, name: str = "state") -> int:
-    """Check Hermiticity, unit trace, and positivity; return the dimension."""
+    """Check finiteness, Hermiticity, unit trace, and positivity; return the dimension."""
     rho = np.asarray(rho)
     if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
         raise ValueError(f"{name} must be a square matrix")
+    if not np.isfinite(rho).all():
+        raise ValueError(f"{name} has a non-finite entry")
     d = rho.shape[0]
     if np.abs(rho - rho.conj().T).max() > _HERMITIAN_TOL:
         raise ValueError(f"{name} is not Hermitian")
@@ -141,4 +143,6 @@ def trace_distance(a: np.ndarray, b: np.ndarray) -> float:
     b = np.asarray(b, dtype=complex)
     if a.shape != b.shape:
         raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
+    if not (np.isfinite(a).all() and np.isfinite(b).all()):
+        raise ValueError("trace_distance needs finite matrices")
     return 0.5 * np.abs(np.linalg.eigvalsh(a - b)).sum()

@@ -11,18 +11,20 @@ control flow, including restarts after failures.
 The dense oracle module independently certifies the state-form claim
 this reduction rests on.
 
-Outcome sources expose ``draws``, uniform floats in stream order; a swap
-test with success probability p passes when its draw is below p.
+A run reads uniform floats from an iterator, in stream order; a swap test
+with success probability p passes when its draw is below p.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .core import Dimension, Seed, as_generator, check_dim, check_open_unit
+from .core import Dimension, Seed, as_generator, as_seed, check_dim, check_open_unit
 from .recurrence import RecurrenceTrace, gate_count_estimate, iterate
 
 if TYPE_CHECKING:
@@ -32,10 +34,10 @@ __all__ = [
     "StreamStats",
     "StackMachine",
     "InvariantViolation",
-    "SeededOutcomes",
-    "ForcedOutcomes",
+    "seeded_draws",
+    "forced_draws",
     "always_succeed",
-    "as_outcomes",
+    "as_draws",
     "purify_streaming",
     "purify_recursive",
     "monte_carlo",
@@ -54,7 +56,7 @@ MAX_EXPECTED_COPIES = 10**9
 # run, not per copy: at ~50 us per run, 10^7 runs take about 8 minutes too.
 MAX_RUNS = 10**7
 
-# SeededOutcomes draws its uniforms in blocks of FIRST_BLOCK, doubling up
+# seeded_draws draws its uniforms in blocks of FIRST_BLOCK, doubling up
 # to MAX_BLOCK; the goldens pin this schedule.
 FIRST_BLOCK = 128
 MAX_BLOCK = 8192
@@ -111,47 +113,33 @@ class StreamStats:
     gate_count: int
 
 
-class SeededOutcomes:
-    """Outcome stream backed by a seeded PRNG.
+def seeded_draws(rng: np.random.Generator) -> Iterator[float]:
+    """The generator's uniform floats, from blocks of FIRST_BLOCK doubling up to MAX_BLOCK.
 
-    ``draws`` yields the generator's uniform floats from blocks of
-    FIRST_BLOCK that double in size up to MAX_BLOCK: the first is drawn
-    here, each later one when the previous runs out.  A fixed seed
-    reproduces runs bit-for-bit, also when several machines share one
-    generator in turn.
+    The first block is drawn now, each later one when the previous runs
+    out.  A fixed seed reproduces runs bit-for-bit, also when several
+    machines share one generator in turn.
     """
-
-    __slots__ = ("draws",)
-
-    def __init__(self, rng: np.random.Generator):
-        first = rng.random(FIRST_BLOCK).tolist()
-        later = (
-            rng.random(min(FIRST_BLOCK << j, MAX_BLOCK)).tolist() for j in itertools.count(1)
-        )
-        self.draws = itertools.chain.from_iterable(itertools.chain([first], later))
+    first = rng.random(FIRST_BLOCK).tolist()
+    later = (rng.random(min(FIRST_BLOCK << j, MAX_BLOCK)).tolist() for j in itertools.count(1))
+    return itertools.chain.from_iterable(itertools.chain([first], later))
 
 
-class ForcedOutcomes:
-    """Rigged outcome stream for control-flow tests: True draws 0.0, False 1.0."""
-
-    def __init__(self, outcomes):
-        forced = (0.0 if outcome else 1.0 for outcome in outcomes)
-        self.draws = itertools.chain(forced, iter(_exhausted, None))
-
-
-def _exhausted():
+def forced_draws(outcomes) -> Iterator[float]:
+    """Rigged draws for control-flow tests: True draws 0.0, False 1.0."""
+    yield from (0.0 if outcome else 1.0 for outcome in outcomes)
     raise RuntimeError("forced outcome sequence exhausted")
 
 
-def always_succeed() -> ForcedOutcomes:
-    return ForcedOutcomes(itertools.repeat(True))
+def always_succeed() -> Iterator[float]:
+    return itertools.repeat(0.0)
 
 
-def as_outcomes(seed) -> "SeededOutcomes | ForcedOutcomes":
-    """Normalize a Seed, int, Generator, or outcome source."""
-    if hasattr(seed, "draws"):
-        return seed
-    return SeededOutcomes(as_generator(seed))
+def as_draws(source) -> Iterator[float]:
+    """An iterator of draws as is; otherwise seeded_draws of a Seed, int or Generator."""
+    if isinstance(source, Iterator):
+        return source
+    return seeded_draws(as_generator(source))
 
 
 class StackMachine:
@@ -190,9 +178,9 @@ class StackMachine:
         trace = protocol_trace(delta0, d, n)
         return cls(d, trace.deltas, trace.ps)
 
-    def run(self, outcomes) -> StreamStats:
-        """One run, drawing from a Seed, int, Generator or outcome source."""
-        draw = as_outcomes(outcomes).draws.__next__
+    def run(self, draws) -> StreamStats:
+        """One run, drawing from a Seed, int, Generator or iterator of draws."""
+        draw = as_draws(draws).__next__
         n = self.n
         self.level_attempts = level_attempts = [0] * max(n, 1)
         self.level_successes = level_successes = [0] * max(n, 1)
@@ -262,7 +250,7 @@ def purify_recursive(delta0: float, d: int, n: int, seed) -> StreamStats:
     """
     trace = protocol_trace(delta0, d, n)
     p_of_level = trace.ps
-    draw = as_outcomes(seed).draws.__next__
+    draw = as_draws(seed).__next__
 
     copies = 0
     attempts = 0
@@ -329,19 +317,17 @@ class MonteCarloSummary:
         return (self.mean_copies - self.theoretical_sc) / se
 
 
-def _mc_run_range(machine: StackMachine, seed: Seed, lo, hi):
-    """Runs lo..hi-1 of a monte_carlo call; lo must start a stream."""
+def _mc_stream(machine: StackMachine, root: Seed, runs: int, b: int):
+    """Stream b of `runs` monte_carlo runs: copies per run, per-level attempt and success sums."""
     import numpy as np
 
     n = machine.n
-    copies = np.empty(hi - lo, dtype=np.int64)
+    copies = np.empty(min(runs - b * RUNS_PER_STREAM, RUNS_PER_STREAM), dtype=np.int64)
     lev_att = [0] * n
     lev_suc = [0] * n
-    for i in range(lo, hi):
-        if i % RUNS_PER_STREAM == 0:
-            outcomes = SeededOutcomes(seed.child_generator(i // RUNS_PER_STREAM))
-        st = machine.run(outcomes)
-        copies[i - lo] = st.copies_consumed
+    draws = seeded_draws(root.child_generator(b))
+    for i in range(len(copies)):
+        copies[i] = machine.run(draws).copies_consumed
         for lv in range(n):
             lev_att[lv] += machine.level_attempts[lv]
             lev_suc[lv] += machine.level_successes[lv]
@@ -360,9 +346,9 @@ def monte_carlo(
     """Aggregate `runs` independent streaming runs, RUNS_PER_STREAM per seed stream.
 
     Run i takes the next draws of sub-stream i // RUNS_PER_STREAM of the
-    given seed, after the runs before it in that stream.  Workers split
-    the runs on stream boundaries, so the result is deterministic for a
-    fixed (seed, runs) and independent of `jobs`.  Raises ValueError
+    given seed, after the runs before it in that stream.  Each worker takes
+    a contiguous block of whole streams, so the result is deterministic for
+    a fixed (seed, runs) and independent of `jobs`.  Raises ValueError
     before any run when runs exceeds MAX_RUNS or runs x expected copies
     exceeds MAX_EXPECTED_COPIES.
     """
@@ -372,27 +358,24 @@ def monte_carlo(
     if n < 1:
         raise ValueError("monte_carlo requires n >= 1")
     machine = StackMachine(d, trace.deltas, trace.ps)  # one for every run
-    root = seed if isinstance(seed, Seed) else Seed(int(seed))
+    task = functools.partial(_mc_stream, machine, as_seed(seed), runs)
 
-    streams = -(-runs // RUNS_PER_STREAM)
-    workers = 1
+    streams = range(-(-runs // RUNS_PER_STREAM))
+    parts = map(task, streams)
     if jobs > 1:
         import multiprocessing
 
         # the results do not depend on the split, so more workers than
         # CPUs or streams would only start more processes
-        workers = min(jobs, streams, multiprocessing.cpu_count())
-    if workers > 1:
-        cuts = [min(streams * k // workers * RUNS_PER_STREAM, runs) for k in range(workers + 1)]
-        chunks = [(machine, root, lo, hi) for lo, hi in zip(cuts[:-1], cuts[1:])]
-        with multiprocessing.Pool(workers) as pool:
-            parts = pool.starmap(_mc_run_range, chunks)
-    else:
-        parts = [_mc_run_range(machine, root, 0, runs)]
+        workers = min(jobs, len(streams), multiprocessing.cpu_count())
+        if workers > 1:
+            with multiprocessing.Pool(workers) as pool:
+                parts = pool.map(task, streams, chunksize=-(-len(streams) // workers))
 
-    copies = np.concatenate([p[0] for p in parts])
-    lev_att = tuple(int(sum(p[1][lv] for p in parts)) for lv in range(n))
-    lev_suc = tuple(int(sum(p[2][lv] for p in parts)) for lv in range(n))
+    stream_copies, stream_att, stream_suc = zip(*parts)
+    copies = np.concatenate(stream_copies)
+    lev_att = tuple(map(sum, zip(*stream_att)))
+    lev_suc = tuple(map(sum, zip(*stream_suc)))
 
     summary = MonteCarloSummary(
         delta0=delta0,

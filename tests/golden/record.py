@@ -19,7 +19,7 @@ import numpy as np
 
 from purestream import cli
 from purestream.core import Seed
-from purestream.streaming import ForcedOutcomes, SeededOutcomes, StackMachine
+from purestream.streaming import StackMachine, forced_draws, seeded_draws
 
 HERE = Path(__file__).resolve().parent
 
@@ -99,13 +99,13 @@ def record_runs() -> dict:
     forced = []
     for delta0, d, n in FORCED_POINTS:
         for seq in forced_sequences(FORCED_SEQS):
-            rec = machine_record(StackMachine.for_protocol(delta0, d, n), ForcedOutcomes(seq))
+            rec = machine_record(StackMachine.for_protocol(delta0, d, n), forced_draws(seq))
             bits = "".join("1" if x else "0" for x in seq)
             forced.append({"point": [delta0, d, n], "outcomes": bits, **rec})
     rng = Seed(SHARED_SEED).generator()
     shared = []
     for delta0, d, n in SHARED_POINTS:
-        rec = machine_record(StackMachine.for_protocol(delta0, d, n), SeededOutcomes(rng))
+        rec = machine_record(StackMachine.for_protocol(delta0, d, n), seeded_draws(rng))
         shared.append({"point": [delta0, d, n], **rec, "next_draw": float(rng.random())})
     return {"seeded": seeded, "forced": forced, "shared": {"seed": SHARED_SEED, "runs": shared}}
 

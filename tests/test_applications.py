@@ -4,7 +4,7 @@ from scipy.stats import chi2
 
 from purestream.core import Dimension, Seed
 from purestream.recurrence import iterate, success_prob
-from purestream.streaming import SeededOutcomes, StackMachine
+from purestream.streaming import StackMachine, seeded_draws
 from purestream import applications as apps
 from purestream.applications import (
     FAR_FROM_MIXED,
@@ -235,7 +235,7 @@ class TestMixedness:
         runs = 3000
         machine = StackMachine(d, trace.deltas, trace.ps)
         for i in range(runs):
-            machine.run(SeededOutcomes(Seed(60, i).generator()))
+            machine.run(seeded_draws(Seed(60, i).generator()))
             hits += machine.first_top_success
         p = trace.ps[-1]
         se = (p * (1 - p) / runs) ** 0.5
@@ -250,7 +250,7 @@ class TestMixedness:
         runs = 3000
         machine = StackMachine(d, [1.0] * (n + 1), [p1] * n)
         for i in range(runs):
-            machine.run(SeededOutcomes(Seed(61, i).generator()))
+            machine.run(seeded_draws(Seed(61, i).generator()))
             hits += machine.first_top_success
         se = (p1 * (1 - p1) / runs) ** 0.5
         assert abs(hits / runs - p1) <= 4 * se

@@ -212,6 +212,15 @@ class TestSimulateCommand:
         assert header == ["run", "copies_consumed"]
         assert len(rows) == 50
 
+    def test_out_and_per_run_must_differ(self, tmp_path, capsys):
+        # one file for both once held the CSV over the tail of the JSON
+        out = tmp_path / "s.json"
+        args = ["simulate", "--d", "2", "--delta0", "0.3", "--levels", "2", "--runs", "3"]
+        for per_run in (out, tmp_path / "." / "s.json"):
+            assert run_cli(args + ["--out", str(out), "--per-run", str(per_run)]) == 1
+            assert capsys.readouterr().err.startswith("error: --out and --per-run")
+            assert not out.exists()
+
     def test_jobs_split_on_stream_boundaries(self, tmp_path):
         # three seed streams, the last one partial: --jobs 2 gives the
         # summary and per-run rows of --jobs 1, and echoes its own --jobs

@@ -3,12 +3,14 @@ import math
 import numpy as np
 import pytest
 
+from purestream import applications, recurrence, streaming
 from purestream.core import (
     INFINITE,
     Dimension,
     Seed,
     as_dimension,
     as_generator,
+    as_seed,
     check_closed_unit,
     check_dim,
     check_open_unit,
@@ -70,6 +72,17 @@ class TestSeed:
         with pytest.raises(ValueError):
             Seed(0, -1)
 
+    def test_integers_only_by_field(self):
+        # a float seed is refused, not truncated to another seed's stream;
+        # numpy integers give the stream of the equal int
+        with pytest.raises(ValueError, match="^root_seed must be an integer, got 1.7"):
+            Seed(1.7)
+        with pytest.raises(ValueError, match="^stream_index must be an integer, got 2.0"):
+            Seed(1, 2.0)
+        want = Seed(42, 3).child_generator(5).random(8)
+        got = Seed(np.int64(42), np.uint32(3)).child_generator(5).random(8)
+        assert np.array_equal(got, want)
+
 
 class TestAsGenerator:
     def test_generator_passes_through(self):
@@ -83,6 +96,23 @@ class TestAsGenerator:
         assert np.array_equal(as_generator(np.int64(42)).random(8), want)
         child = Seed(42, 3).generator().random(8)
         assert np.array_equal(as_generator(Seed(42, 3)).random(8), child)
+
+    @pytest.mark.parametrize("bad", [1.7, -0.5, float("nan"), "42"])
+    def test_rejects_non_integer_seeds(self, bad):
+        # once truncated by int(): 1.7 and -0.5 ran Seed(1)'s and Seed(0)'s streams
+        for coerce in (as_seed, as_generator):
+            with pytest.raises(ValueError, match="^root_seed must be an integer"):
+                coerce(bad)
+
+
+class TestAsSeed:
+    def test_seed_passes_through(self):
+        seed = Seed(5, 2)
+        assert as_seed(seed) is seed
+
+    def test_integers_become_seeds(self):
+        assert as_seed(5) == Seed(5)
+        assert as_seed(np.int64(5)) == Seed(5)
 
 
 class TestChecks:
@@ -106,6 +136,34 @@ class TestChecks:
             check_dim(1)
         with pytest.raises(ValueError, match="^d must be >= 2, got 1"):
             Dimension(1)
+
+    @pytest.mark.parametrize("bad", [2.5, 3.0, float("nan"), float("inf"), None])
+    def test_dim_integers_only(self, bad):
+        check_dim(np.int64(2))
+        assert Dimension.finite(np.int64(3)) == Dimension(3)
+        assert type(Dimension.finite(np.int64(3)).d) is int
+        with pytest.raises(ValueError, match="^d must be an integer, got"):
+            check_dim(bad)
+        with pytest.raises(ValueError, match="^d must be an integer, got"):
+            Dimension.finite(bad)
+
+
+# every public entry that takes a finite d, called with d = 2.5: each once
+# ran silently at d = 2 or died with an AttributeError
+NON_INTEGER_D = {
+    "mixedness_test": lambda: applications.mixedness_test(1.0, 2.5, 0.5, 20, 1),
+    "sc_theorem_bound": lambda: recurrence.sc_theorem_bound(0.5, 2.5, 0.01),
+    "lower_bound_samples": lambda: recurrence.lower_bound_samples(0.5, 2.5, 0.01),
+    "n_upper_finite_d": lambda: recurrence.n_upper_finite_d(0.9, 2.5),
+    "purify_streaming": lambda: streaming.purify_streaming(0.3, 2.5, 3, 1),
+    "monte_carlo": lambda: streaming.monte_carlo(0.3, 2.5, 3, 10, 1),
+}
+
+
+@pytest.mark.parametrize("call", NON_INTEGER_D.values(), ids=NON_INTEGER_D.keys())
+def test_non_integer_d_is_refused(call):
+    with pytest.raises(ValueError, match="^d must be an integer, got 2.5"):
+        call()
 
 
 class TestFidelity:

@@ -163,6 +163,19 @@ class TestSwapTestApply:
         with pytest.raises(ValueError):
             swap_test_apply(bad, np.eye(2) / 2)
 
+    def test_non_finite_rejected(self):
+        # NaN fails every comparison, so it once passed the checks, and the
+        # 1e-12 probability cross-check stayed silent on p0 = nan
+        with pytest.raises(ValueError, match="^state has a non-finite entry"):
+            validate_density_matrix(np.full((2, 2), np.nan))
+        for bad in (np.nan, np.inf):
+            rho = np.eye(2) / 2
+            rho[0, 0] = bad
+            with pytest.raises(ValueError, match="^rho has a non-finite entry"):
+                swap_test_apply(rho, np.eye(2) / 2)
+            with pytest.raises(ValueError, match="^sigma has a non-finite entry"):
+                swap_test_apply(np.eye(2) / 2, rho)
+
     def test_dimension_cap(self):
         big = np.eye(17) / 17
         with pytest.raises(ValueError):
@@ -294,6 +307,14 @@ class TestTraceDistance:
     def test_mismatch_rejected(self):
         with pytest.raises(ValueError):
             trace_distance(np.eye(2), np.eye(3))
+
+    def test_non_finite_rejected(self):
+        # a NaN diagonal entry once read as distance 0.0 from I/2
+        bad = np.eye(2) / 2
+        bad[0, 0] = np.nan
+        for a, b in ((bad, np.eye(2) / 2), (np.eye(2) / 2, bad)):
+            with pytest.raises(ValueError, match="finite"):
+                trace_distance(a, b)
 
 
 def test_max_dim_constant():

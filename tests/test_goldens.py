@@ -16,11 +16,11 @@ import pytest
 from purestream import cli
 from purestream.core import Seed
 from purestream.streaming import (
-    ForcedOutcomes,
-    SeededOutcomes,
     StackMachine,
+    forced_draws,
     purify_recursive,
     purify_streaming,
+    seeded_draws,
 )
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -51,7 +51,7 @@ def test_seeded_runs(point):
 def test_forced_runs():
     for case in RUNS["forced"]:
         delta0, d, n = case["point"]
-        outcomes = ForcedOutcomes(bit == "1" for bit in case["outcomes"])
+        outcomes = forced_draws(bit == "1" for bit in case["outcomes"])
         got = run_record(StackMachine.for_protocol(delta0, d, n), outcomes)
         want = {k: case[k] for k in got}
         assert got == want, case["point"]
@@ -63,7 +63,7 @@ def test_shared_generator_block_schedule():
     rng = Seed(RUNS["shared"]["seed"]).generator()
     for case in RUNS["shared"]["runs"]:
         delta0, d, n = case["point"]
-        got = run_record(StackMachine.for_protocol(delta0, d, n), SeededOutcomes(rng))
+        got = run_record(StackMachine.for_protocol(delta0, d, n), seeded_draws(rng))
         got["next_draw"] = float(rng.random())
         assert got == {k: case[k] for k in got}, case["point"]
 
@@ -71,10 +71,10 @@ def test_shared_generator_block_schedule():
 def test_machine_rerun_resets_artifacts():
     # a second run continues on the same draws and matches a fresh machine there
     machine = StackMachine.for_protocol(0.6, 8, 6)
-    shared = SeededOutcomes(Seed(701, 0).generator())
+    shared = seeded_draws(Seed(701, 0).generator())
     first = run_record(machine, shared)
     second = run_record(machine, shared)
-    outcomes = SeededOutcomes(Seed(701, 0).generator())
+    outcomes = seeded_draws(Seed(701, 0).generator())
     StackMachine.for_protocol(0.6, 8, 6).run(outcomes)
     assert first == RUNS["seeded"][1]["runs"][0]
     assert second == run_record(StackMachine.for_protocol(0.6, 8, 6), outcomes)

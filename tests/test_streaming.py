@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -6,20 +8,21 @@ from purestream import streaming
 from purestream.core import Dimension, Seed
 from purestream.recurrence import expected_sample_complexity, iterate
 from purestream.streaming import (
-    ForcedOutcomes,
     MAX_EXPECTED_COPIES,
     MAX_RUNS,
     RUNS_PER_STREAM,
     InvariantViolation,
-    SeededOutcomes,
     StackMachine,
     StreamStats,
     _check_balance,
     always_succeed,
+    as_draws,
+    forced_draws,
     monte_carlo,
     protocol_trace,
     purify_recursive,
     purify_streaming,
+    seeded_draws,
 )
 
 
@@ -45,13 +48,13 @@ class TestDegenerateAndRigged:
 
     def test_forced_failure_path(self):
         # level-0 failure discards the pair and fetches a fresh one
-        st = purify_streaming(0.3, 2, 1, ForcedOutcomes([False, False, True]))
+        st = purify_streaming(0.3, 2, 1, forced_draws([False, False, True]))
         assert st.copies_consumed == 6
         assert st.swap_attempts == 3
 
     def test_forced_mixed_path(self):
         # n=2: build 1, build another 1, fail the top merge, rebuild everything
-        outcomes = ForcedOutcomes([True, True, False, True, True, True])
+        outcomes = forced_draws([True, True, False, True, True, True])
         st = purify_streaming(0.3, 2, 2, outcomes)
         # the 1+1 merge failure discards both partially purified cells,
         # so the rebuild fetches 4 more copies and needs 3 more successes
@@ -60,7 +63,7 @@ class TestDegenerateAndRigged:
 
     def test_forced_sequence_exhaustion_raises(self):
         with pytest.raises(RuntimeError):
-            purify_streaming(0.3, 2, 3, ForcedOutcomes([True]))
+            purify_streaming(0.3, 2, 3, forced_draws([True]))
 
     def test_gate_count_derived(self):
         st = purify_streaming(0.4, 16, 1, always_succeed())
@@ -76,6 +79,19 @@ class TestDeterminism:
     def test_distinct_streams_differ(self):
         runs = {purify_streaming(0.55, 3, 6, Seed(99, i)).copies_consumed for i in range(8)}
         assert len(runs) > 1
+
+
+class TestDraws:
+    def test_iterator_passes_through(self):
+        it = iter([0.0, 1.0])
+        assert as_draws(it) is it
+        draws = seeded_draws(Seed(5).generator())
+        assert as_draws(draws) is draws
+
+    def test_seed_int_and_generator_give_seeded_draws(self):
+        want = list(itertools.islice(seeded_draws(Seed(5).generator()), 300))
+        for source in (Seed(5), 5, np.int64(5), Seed(5).generator()):
+            assert list(itertools.islice(as_draws(source), 300)) == want
 
 
 class TestStructuralInvariants:
@@ -193,15 +209,15 @@ class TestMonteCarlo:
 
     def test_runs_share_one_stream_in_order(self):
         # runs k..k+j of stream b are successive machine.run calls on one
-        # SeededOutcomes(root.child_generator(b)), and run RUNS_PER_STREAM
+        # seeded_draws(root.child_generator(b)), and run RUNS_PER_STREAM
         # starts stream 1 afresh rather than continuing stream 0
         point, root, tail = (0.6, 8, 6), Seed(27, 4), 6
         _, samples = monte_carlo(*point, RUNS_PER_STREAM + tail, root, keep_samples=True)
         machine = StackMachine.for_protocol(*point)
-        stream0 = SeededOutcomes(root.child_generator(0))
+        stream0 = seeded_draws(root.child_generator(0))
         want = [machine.run(stream0).copies_consumed for _ in range(RUNS_PER_STREAM)]
         assert samples[:RUNS_PER_STREAM].tolist() == want
-        stream1 = SeededOutcomes(root.child_generator(1))
+        stream1 = seeded_draws(root.child_generator(1))
         want = [machine.run(stream1).copies_consumed for _ in range(tail)]
         assert samples[RUNS_PER_STREAM:].tolist() == want
         stream0_continued = [machine.run(stream0).copies_consumed for _ in range(tail)]
@@ -219,7 +235,7 @@ class TestMonteCarlo:
         import multiprocessing
 
         sizes = []
-        starts = []
+        tasks = []
 
         class SerialPool:
             def __init__(self, processes):
@@ -231,9 +247,9 @@ class TestMonteCarlo:
             def __exit__(self, *exc):
                 return False
 
-            def starmap(self, fn, chunks):
-                starts.extend(chunk[2] for chunk in chunks)
-                return [fn(*chunk) for chunk in chunks]
+            def map(self, fn, streams, chunksize):
+                tasks.append((list(streams), chunksize))
+                return [fn(b) for b in streams]
 
         monkeypatch.setattr(multiprocessing, "Pool", SerialPool)
         # five streams on three CPUs: one worker per CPU
@@ -248,9 +264,8 @@ class TestMonteCarlo:
         monte_carlo(0.5, 2, 3, 2 * RUNS_PER_STREAM + 1, Seed(26), jobs=1000)
         monte_carlo(0.5, 2, 3, RUNS_PER_STREAM, Seed(26), jobs=1000)
         assert sizes == [3, 3]
-        # every worker starts on a stream boundary
-        assert starts == [0, RUNS_PER_STREAM, 3 * RUNS_PER_STREAM, 0, RUNS_PER_STREAM,
-                          2 * RUNS_PER_STREAM]
+        # the tasks are exactly the stream indices, one chunk per worker
+        assert tasks == [([0, 1, 2, 3, 4], 2), ([0, 1, 2], 1)]
 
     def test_keep_samples(self):
         summary, samples = monte_carlo(0.5, 2, 3, 50, Seed(24), keep_samples=True)
@@ -279,10 +294,18 @@ class TestMonteCarlo:
         def no_runs(*args):
             raise AssertionError("a run started")
 
-        monkeypatch.setattr(streaming, "_mc_run_range", no_runs)
+        monkeypatch.setattr(streaming, "_mc_stream", no_runs)
         assert protocol_trace(0.01, 2, 1, MAX_RUNS).ps
         with pytest.raises(ValueError, match="MAX_RUNS"):
             monte_carlo(0.01, 2, 1, 10**7 + 1, 0)
+
+    def test_seed_coercion(self):
+        # a float seed once ran the streams of its truncation, and a Generator
+        # died in int(); numpy integers are seeds like ints
+        for bad in (1.7, np.random.default_rng(0)):
+            with pytest.raises(ValueError, match="^root_seed must be an integer"):
+                monte_carlo(0.5, 2, 3, 10, bad)
+        assert monte_carlo(0.5, 2, 3, 10, np.int64(26)) == monte_carlo(0.5, 2, 3, 10, Seed(26))
 
     def test_rejects_bad_args(self):
         with pytest.raises(ValueError):

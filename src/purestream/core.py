@@ -93,7 +93,7 @@ def as_dimension(dim) -> Dimension:
         if dim.strip().lower() in ("inf", "infinite", "infinity"):
             return INFINITE
         return Dimension.finite(int(dim))
-    if dim is None or (isinstance(dim, float) and math.isinf(dim)):
+    if dim is None or dim == math.inf:  # -inf is refused below, as a non-integer
         return INFINITE
     if isinstance(dim, float) and dim.is_integer():
         dim = int(dim)

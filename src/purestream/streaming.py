@@ -151,7 +151,8 @@ class StackMachine:
     which meets the held one (the flag is cleared and the two are tested
     one level up) or is held.  A failure discards both states; a failure or
     a newly held state goes back to fetching a pair, and the run ends at
-    the first level-n success.
+    the first level-n success.  Fresh pairs are one ``for`` over the draws;
+    only the carry through the held levels calls ``draw()``.
 
     Stack order, equal-level pairing and the n + 1 memory bound hold by
     construction: held levels are distinct, a test pairs two states of one
@@ -179,8 +180,9 @@ class StackMachine:
         return cls(d, trace.deltas, trace.ps)
 
     def run(self, draws) -> StreamStats:
-        """One run, drawing from a Seed, int, Generator or iterator of draws."""
-        draw = as_draws(draws).__next__
+        """One run on a Seed, int, Generator or iterator of draws (RuntimeError if it runs out)."""
+        draws = as_draws(draws)
+        draw = draws.__next__
         n = self.n
         self.level_attempts = level_attempts = [0] * max(n, 1)
         self.level_successes = level_successes = [0] * max(n, 1)
@@ -190,21 +192,32 @@ class StackMachine:
             return StreamStats(1, 0, 1, self.delta_table[0], 0)
 
         p_of_level = self.p_of_level
+        p0 = p_of_level[0]
         # held[n] is set by the level-n state that ends the run
         held = [False] * (n + 1)
 
-        while not held[n]:
-            lev = 0  # a fresh pair
-            while True:
-                level_attempts[lev] += 1
-                if draw() >= p_of_level[lev]:
-                    break  # both states are discarded
-                level_successes[lev] += 1
-                lev += 1
-                if not held[lev]:
+        try:
+            for pairs, u in enumerate(draws, 1):
+                if u >= p0:
+                    continue  # both states of the fresh pair are discarded
+                level_successes[0] += 1
+                lev = 1
+                while held[lev]:  # carry: meet the held state one level up
+                    held[lev] = False
+                    level_attempts[lev] += 1
+                    if draw() >= p_of_level[lev]:
+                        break  # both states are discarded
+                    level_successes[lev] += 1
+                    lev += 1
+                else:
                     held[lev] = True
-                    break
-                held[lev] = False
+                    if lev == n:
+                        break
+            else:
+                raise StopIteration
+        except StopIteration:
+            raise RuntimeError("the draws ran out before the run ended") from None
+        level_attempts[0] = pairs
 
         _check_balance(level_attempts, level_successes, held)
         self.first_top_success = level_attempts[n - 1] == 1

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from purestream import applications, recurrence, streaming
+from purestream import applications, gadget, recurrence, streaming
 from purestream.core import (
     INFINITE,
     Dimension,
@@ -16,6 +16,19 @@ from purestream.core import (
     check_open_unit,
     fidelity_of_output,
 )
+
+
+# every entry that reads d through as_dimension, as a function of d: each
+# once took -inf for the d -> infinity limit
+NEGATIVE_INF_ENTRIES = {
+    "as_dimension": as_dimension,
+    "success_prob": lambda dim: recurrence.success_prob(0.5, dim),
+    "delta_map": lambda dim: recurrence.delta_map(0.5, dim),
+    "swap_success_prob": lambda dim: gadget.swap_success_prob(0.3, 0.5, dim),
+    "swap_output_delta": lambda dim: gadget.swap_output_delta(0.3, 0.5, dim),
+    "improves_both": lambda dim: gadget.improves_both(0.3, 0.5, dim),
+    "region_boundary": lambda dim: gadget.region_boundary(0.3, dim),
+}
 
 
 class TestDimension:
@@ -44,6 +57,13 @@ class TestDimension:
         assert as_dimension(Dimension.finite(5)).d == 5
         with pytest.raises(ValueError):
             as_dimension(2.5)
+
+    @pytest.mark.parametrize("fn", NEGATIVE_INF_ENTRIES.values(), ids=NEGATIVE_INF_ENTRIES.keys())
+    def test_negative_infinity_is_not_the_infinite_limit(self, fn):
+        # only +inf is the d -> infinity limit; -inf is a non-integer d
+        fn(math.inf)
+        with pytest.raises(ValueError, match="^d must be an integer, got -inf"):
+            fn(-math.inf)
 
 
 class TestSeed:

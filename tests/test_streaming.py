@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from copy_moments import copies_moments
+from reference_loop import reference_run
 from purestream import streaming
 from purestream.core import Dimension, Seed
 from purestream.recurrence import expected_sample_complexity, iterate
@@ -68,6 +69,23 @@ class TestDegenerateAndRigged:
     def test_gate_count_derived(self):
         st = purify_streaming(0.4, 16, 1, always_succeed())
         assert st.gate_count == st.swap_attempts * 7  # ceil(log2 16) + 3
+
+    @pytest.mark.parametrize(
+        "draws",
+        [[1.0, 1.0], [0.0, 0.0]],
+        ids=["fresh-pairs", "carry"],  # the draws run out at level 0, or one level up
+    )
+    def test_finite_draws_running_out_raise(self, draws):
+        # a bare StopIteration would end a map over runs early, silently
+        machine = StackMachine.for_protocol(0.3, 2, 3)
+        with pytest.raises(RuntimeError, match="draws ran out"):
+            machine.run(iter(draws))
+        with pytest.raises(RuntimeError, match="draws ran out"):
+            list(map(machine.run, [iter(draws)]))
+
+    def test_finite_draws_just_enough(self):
+        machine = StackMachine.for_protocol(0.3, 2, 2)
+        assert machine.run(iter([0.0] * 3)).swap_attempts == 3
 
 
 class TestDeterminism:
@@ -156,6 +174,64 @@ class TestStructuralInvariants:
             stats = fresh.run(Seed(712, i))
             assert record == (stats, fresh.level_attempts, fresh.level_successes,
                               fresh.first_top_success), i
+
+
+def random_machine(rng):
+    """A machine of 1..8 levels, p_i drawn in (0.05, 1] in any order, expecting <= 4,000 copies."""
+    while True:
+        n = int(rng.integers(1, 9))
+        ps = [1.0 if rng.random() < 0.1 else float(rng.uniform(0.05, 1.0)) for _ in range(n)]
+        if 2**n / np.prod(ps) <= 4000:
+            return StackMachine(int(rng.integers(2, 10)), rng.random(n + 1), ps)
+
+
+def outcome(call):
+    """call()'s value, or the type of the RuntimeError or StopIteration it raises."""
+    try:
+        return call()
+    except (RuntimeError, StopIteration) as exc:
+        return type(exc)
+
+
+def machine_run(machine, draws):
+    stats = machine.run(draws)
+    return stats, machine.level_attempts, machine.level_successes, machine.first_top_success
+
+
+class TestReferenceLoop:
+    """StackMachine.run against the per-attempt loop of tests/reference_loop.py.
+
+    Equal results and an equal next draw after each run mean equal draw
+    use, which is what keeps every golden byte in place.
+    """
+
+    def test_seeded_draws(self):
+        shapes = set()
+        for seed in range(300):
+            rng = np.random.default_rng(seed)
+            machine = random_machine(rng)
+            shapes.add((machine.n, machine.p_of_level != sorted(machine.p_of_level)))
+            draws = seeded_draws(Seed(seed).generator())
+            ref_draws = seeded_draws(Seed(seed).generator())
+            for run in range(4):  # consecutive runs share one stream
+                want = reference_run(machine, ref_draws)
+                assert machine_run(machine, draws) == want, (seed, run)
+                assert next(draws) == next(ref_draws), (seed, run)
+        # every depth, and non-monotone tables at every depth above 1
+        assert shapes >= {(n, n > 1) for n in range(1, 9)}
+
+    def test_forced_draws(self):
+        ends = set()
+        for seed in range(300):
+            rng = np.random.default_rng(10**6 + seed)
+            machine = random_machine(rng)
+            forced = (rng.random(int(rng.integers(1, 200))) < rng.uniform(0.3, 1.0)).tolist()
+            draws, ref_draws = forced_draws(forced), forced_draws(forced)
+            got = outcome(lambda: machine_run(machine, draws))
+            assert got == outcome(lambda: reference_run(machine, ref_draws)), seed
+            assert outcome(lambda: next(draws)) == outcome(lambda: next(ref_draws)), seed
+            ends.add(got is RuntimeError)
+        assert ends == {True, False}  # some runs finish, some exhaust their outcomes
 
 
 class TestRecursiveEquivalence:

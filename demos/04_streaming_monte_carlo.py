@@ -8,8 +8,9 @@ fetches).  The expected number of raw copies is exactly
 2^n / prod_i p_i; the Monte Carlo mean must land on it.
 """
 
+import itertools
+
 from purestream import Seed, purify_streaming, monte_carlo
-from purestream.streaming import always_succeed
 
 # a single run, step by step
 st = purify_streaming(0.3, 2, 5, Seed(1))
@@ -21,7 +22,7 @@ print(f"  output error    : {st.final_delta:.5f}")
 print(f"  gate count      : {st.gate_count}  (4 gates per qubit swap test)")
 
 # the failure-free baseline is the full binary tree: 2^n leaves
-ideal = purify_streaming(0.3, 2, 5, always_succeed())
+ideal = purify_streaming(0.3, 2, 5, itertools.repeat(0.0))
 print(f"\nfailure-free run consumes exactly 2^5 = {ideal.copies_consumed} copies")
 
 print("\nMonte Carlo vs the closed-form expectation (20000 runs each):")

@@ -33,7 +33,6 @@ if TYPE_CHECKING:
 __all__ = [
     "SimonInstance",
     "SimonResult",
-    "gf2_rank_and_nullspace",
     "sample_purified_y",
     "solve_simon",
     "MAXIMALLY_MIXED",
@@ -90,26 +89,6 @@ def _mask_to_bits(mask: int, m: int) -> str:
 
 def _parity(x: int) -> int:
     return x.bit_count() & 1
-
-
-def gf2_rank_and_nullspace(rows, m: int | None = None):
-    """Row-reduce bit-string rows over GF(2); return (rank, nullspace basis).
-
-    The nullspace is the orthogonal complement of the row space under the
-    GF(2) dot product.  `m` may be omitted when `rows` is nonempty.
-    """
-    rows = list(rows)
-    if m is None:
-        if not rows:
-            raise ValueError("m is required when rows is empty")
-        m = len(rows[0])
-    pivots: dict[int, int] = {}  # echelon basis keyed by pivot position (msb-first)
-    for r in rows:
-        bits = r if isinstance(r, str) else "".join(str(int(b)) for b in r)
-        if len(bits) != m or any(c not in "01" for c in bits):
-            raise ValueError(f"row {r!r} is not a length-{m} bit-string")
-        _insert(int(bits, 2), pivots)
-    return len(pivots), [_mask_to_bits(v, m) for v in _nullspace(pivots, m)]
 
 
 def _nullspace(pivots: dict[int, int], m: int) -> list[int]:

@@ -122,16 +122,16 @@ class Seed:
             raise ValueError("root_seed must be a 64-bit unsigned integer")
 
     def generator(self) -> np.random.Generator:
-        import numpy as np
-
-        sequence = np.random.SeedSequence(self.root_seed, spawn_key=(self.stream_index,))
-        return np.random.Generator(np.random.PCG64(sequence))
+        return self._generator((self.stream_index,))
 
     def child_generator(self, index: int) -> np.random.Generator:
         """Sub-stream `index`: RUNS_PER_STREAM monte_carlo runs, or one simon trial."""
+        return self._generator((self.stream_index, index))
+
+    def _generator(self, spawn_key: tuple[int, ...]) -> np.random.Generator:
         import numpy as np
 
-        sequence = np.random.SeedSequence(self.root_seed, spawn_key=(self.stream_index, index))
+        sequence = np.random.SeedSequence(self.root_seed, spawn_key=spawn_key)
         return np.random.Generator(np.random.PCG64(sequence))
 
 

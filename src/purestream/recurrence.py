@@ -30,7 +30,6 @@ from .core import Dimension, as_dimension, check_closed_unit, check_dim, check_o
 __all__ = [
     "ITERATION_CAP",
     "RecurrenceTrace",
-    "FiniteDCoefficients",
     "success_prob",
     "delta_map",
     "kappa_map",
@@ -38,12 +37,7 @@ __all__ = [
     "iterate",
     "iterations_to",
     "i_star",
-    "eta_bound",
-    "h_inf",
-    "mu_inf_sequence",
-    "mu_inf_bound",
     "n_upper_inf",
-    "finite_d_coeffs",
     "n_upper_finite_d",
     "expected_sample_complexity",
     "sc_theorem_bound",
@@ -170,18 +164,18 @@ def iterate(delta0: float, dim, n: int) -> RecurrenceTrace:
     return RecurrenceTrace(dim, tuple(deltas), tuple(ps[1:]), tuple(kappas))
 
 
-def iterations_to(delta0: float, dim, eps: float, cap: int = ITERATION_CAP) -> int:
-    """Smallest n with delta_n <= eps (0 if delta_0 already qualifies)."""
+def iterations_to(delta0: float, dim, eps: float) -> int:
+    """Smallest n with delta_n <= eps (0 if delta_0 already qualifies), n <= ITERATION_CAP."""
     dim = as_dimension(dim)
     if not (0.0 < eps < delta0 < 1.0):
         if 0.0 < delta0 < 1.0 and eps >= delta0:
             return 0
         raise ValueError(f"need 0 < eps < delta0 < 1, got eps={eps} delta0={delta0}")
-    for n, (delta, _) in enumerate(itertools.islice(_walk(delta0, dim), cap + 1)):
+    for n, (delta, _) in enumerate(itertools.islice(_walk(delta0, dim), ITERATION_CAP + 1)):
         if delta <= eps:
             return n
     raise RuntimeError(
-        f"no convergence to eps={eps} from delta0={delta0} within {cap} iterations"
+        f"no convergence to eps={eps} from delta0={delta0} within {ITERATION_CAP} iterations"
     )
 
 
@@ -202,64 +196,6 @@ def i_star(delta0: float, dim) -> int:
     return iterations_to(delta0, dim, math.nextafter(2.0 / 3.0, 0.0)) - 1
 
 
-def eta_bound(delta: float, i: int) -> float:
-    """Closed-form exponential-decay envelope for the low-noise phase.
-
-    For delta_0 = delta <= 1/2 every iterate satisfies
-    delta_i <= delta / (2^i (1 - 2 delta) + 2 delta), for any d.
-    """
-    if not (0.0 <= delta <= 0.5):
-        raise ValueError(f"eta_bound requires delta <= 1/2, got {delta}")
-    if i < 0:
-        raise ValueError("i must be non-negative")
-    return delta / (2.0**i * (1.0 - 2.0 * delta) + 2.0 * delta)
-
-
-def _h_inf_raw(y: float) -> float:
-    # Inverse of g(x) = (x + x^2)/(1 + x^2) on the branch 0 < x < 1/3.
-    # Algebraically (-1 + sqrt(1 + 4y(1-y))) / (2(1-y)); rearranged so the
-    # small-y case does not cancel.
-    z = 4.0 * y * (1.0 - y)
-    return 2.0 * y / (1.0 + math.sqrt(1.0 + z))
-
-
-def h_inf(y: float) -> float:
-    """Inverse update of the infinite-d kappa recurrence, on 0 < y < 1/3.
-
-    Satisfies g(h_inf(y)) = y where g(x) = (x + x^2)/(1 + x^2) is one
-    kappa step at d = infinity.
-    """
-    if not (0.0 < y < 1.0 / 3.0):
-        raise ValueError(f"h_inf domain is 0 < y < 1/3, got {y}")
-    return _h_inf_raw(y)
-
-
-def mu_inf_sequence(mu0: float, n: int) -> list[float]:
-    """Time-reversed kappa sequence mu_0 .. mu_n at d = infinity.
-
-    mu_0 is the kappa value at the end of the high-noise phase (at most
-    1/3, and that boundary value is admitted), and each further term
-    rewinds one recurrence step.
-    """
-    if not (0.0 < mu0 <= 1.0 / 3.0):
-        raise ValueError(f"mu0 must lie in (0, 1/3], got {mu0}")
-    if n < 0:
-        raise ValueError("n must be non-negative")
-    out = [mu0]
-    mu = mu0
-    for _ in range(n):
-        mu = _h_inf_raw(mu)
-        out.append(mu)
-    return out
-
-
-def mu_inf_bound(i: int) -> float:
-    """Strict upper bound 1/i + 2 ln(i)/i^2 on mu_i when mu_0 <= 1/3."""
-    if i < 1:
-        raise ValueError("i must be >= 1")
-    return 1.0 / i + 2.0 * math.log(i) / (i * i)
-
-
 def _high_noise_exponent(k: float) -> float:
     """1/k + 2 ln(1/k) at k = 1 - delta: the d = infinity high-noise bound."""
     return 1.0 / k + 2.0 * math.log(1.0 / k)
@@ -275,36 +211,6 @@ def n_upper_inf(delta: float) -> int:
     return math.ceil(_high_noise_exponent(1.0 - delta))
 
 
-@dataclass(frozen=True)
-class FiniteDCoefficients:
-    """Constants of the finite-d high-noise analysis.
-
-    a controls the geometric part of the inverse recurrence, b and c the
-    linear corrections; alpha = b a / (1 - a) and beta collect them into
-    the iteration bound.  c has a special value at d = 2 where b = 0.
-    """
-
-    d: int
-    a: float
-    b: float
-    c: float
-    alpha: float
-    beta: float
-
-
-def finite_d_coeffs(d: int, delta: float) -> FiniteDCoefficients:
-    """Coefficients (a, b, c, alpha, beta) for the finite-d iteration bound."""
-    check_dim(d)
-    _check_high_noise(delta=delta)
-    a = (d + 1) / (d + 2)
-    b = (d - 2) / (d + 2)
-    c = d**3 / (d + 2) ** 3 if d >= 3 else 1.0 / 7.0
-    alpha = (d - 2) * (d + 1) / (d + 2)
-    n_star_inf = _high_noise_exponent(1.0 - delta)
-    beta = alpha - 2.0 * c * a * math.log(min(d, n_star_inf)) + 3.0 - 7.2 * c * a
-    return FiniteDCoefficients(d=d, a=a, b=b, c=c, alpha=alpha, beta=beta)
-
-
 def n_upper_finite_d(delta: float, d: int) -> int:
     """Finite-d iteration bound: the returned n guarantees delta_n < 2/3.
 
@@ -312,12 +218,19 @@ def n_upper_finite_d(delta: float, d: int) -> int:
     it for large d (1 - delta).  The underlying inequality is strict
     (n > bound), so an exact-integer bound still rounds up.
     """
-    co = finite_d_coeffs(d, delta)
+    check_dim(d)
+    _check_high_noise(delta=delta)
     k = 1.0 - delta
+    # a drives the geometric part of the inverse recurrence and c its linear
+    # correction (1/7 at d = 2); alpha and beta collect them into the bound
+    a = (d + 1) / (d + 2)
+    c = d**3 / (d + 2) ** 3 if d >= 3 else 1.0 / 7.0
+    alpha = (d - 2) * (d + 1) / (d + 2)
+    beta = alpha - 2.0 * c * a * math.log(min(d, _high_noise_exponent(k))) + 3.0 - 7.2 * c * a
     if d == 2:
-        x = math.log(1.0 / (k * co.beta)) / math.log(4.0 / 3.0)
+        x = math.log(1.0 / (k * beta)) / math.log(4.0 / 3.0)
     else:
-        x = (math.log(1.0 + 1.0 / (co.alpha * k)) + math.log(co.alpha / co.beta)) / (
+        x = (math.log(1.0 + 1.0 / (alpha * k)) + math.log(alpha / beta)) / (
             math.log(1.0 + 1.0 / (d + 1))
         )
     return math.floor(x) + 1
@@ -352,15 +265,13 @@ def sc_theorem_bound(delta: float, d: int, eps: float) -> float:
     return 4.0**exponent * 3630.0 / eps
 
 
-def gate_count_estimate(stats, d: int) -> int:
+def gate_count_estimate(attempts: int, d: int) -> int:
     """Elementary gates implied by a run's swap-test count.
 
     Each swap test costs two Hadamards, ceil(log2 d) controlled
-    qubit-swaps, and one measurement.  Accepts a StreamStats or a bare
-    attempt count.
+    qubit-swaps, and one measurement.
     """
     check_dim(d)
-    attempts = getattr(stats, "swap_attempts", stats)
     if attempts < 0:
         raise ValueError("swap attempt count must be non-negative")
     return attempts * ((d - 1).bit_length() + 3)

@@ -35,8 +35,6 @@ __all__ = [
     "StackMachine",
     "InvariantViolation",
     "seeded_draws",
-    "forced_draws",
-    "always_succeed",
     "as_draws",
     "purify_streaming",
     "purify_recursive",
@@ -123,16 +121,6 @@ def seeded_draws(rng: np.random.Generator) -> Iterator[float]:
     first = rng.random(FIRST_BLOCK).tolist()
     later = (rng.random(min(FIRST_BLOCK << j, MAX_BLOCK)).tolist() for j in itertools.count(1))
     return itertools.chain.from_iterable(itertools.chain([first], later))
-
-
-def forced_draws(outcomes) -> Iterator[float]:
-    """Rigged draws for control-flow tests: True draws 0.0, False 1.0."""
-    yield from (0.0 if outcome else 1.0 for outcome in outcomes)
-    raise RuntimeError("forced outcome sequence exhausted")
-
-
-def always_succeed() -> Iterator[float]:
-    return itertools.repeat(0.0)
 
 
 def as_draws(source) -> Iterator[float]:
@@ -259,7 +247,8 @@ def purify_recursive(delta0: float, d: int, n: int, seed) -> StreamStats:
     and swap-testing them until the test succeeds.  Realizes the same
     copies/attempts distribution as the stack machine; kept as an
     independent implementation for cross-validation.  Its recursion is
-    n deep, and the copy cap keeps n below 30.
+    n deep, and the copy cap keeps n below 30.  Its max_stack_depth counts
+    the states it held; finite draws that run out raise RuntimeError.
     """
     trace = protocol_trace(delta0, d, n)
     p_of_level = trace.ps
@@ -287,7 +276,10 @@ def purify_recursive(delta0: float, d: int, n: int, seed) -> StreamStats:
                 held += 1
                 return
 
-    build(n)
+    try:
+        build(n)
+    except StopIteration:
+        raise RuntimeError("the draws ran out before the run ended") from None
     if max_held > n + 1:
         raise InvariantViolation(f"held {max_held} states, bound is n+1 = {n + 1}")
     return StreamStats(

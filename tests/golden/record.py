@@ -13,15 +13,18 @@ import contextlib
 import hashlib
 import io
 import json
+import sys
 from pathlib import Path
 
 import numpy as np
 
 from purestream import cli
 from purestream.core import Seed
-from purestream.streaming import StackMachine, forced_draws, seeded_draws
+from purestream.streaming import StackMachine, seeded_draws
 
 HERE = Path(__file__).resolve().parent
+sys.path.insert(0, str(HERE.parent))  # tests/, home of the test-only lemmas module
+from lemmas import forced_draws
 
 # (delta0, d, n, seed key): 40 runs each on Seed(key, i).generator()
 SEEDED_POINTS = [

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from copy_moments import copies_moments
+from lemmas import eta_bound, mu_inf_bound, mu_inf_sequence
 from purestream.core import INFINITE, Dimension, Seed
 from purestream.dense_oracle import (
     make_depolarized,
@@ -23,12 +24,9 @@ from purestream.dense_oracle import (
 )
 from purestream.gadget import improves_both, swap_output_delta, swap_success_prob
 from purestream.recurrence import (
-    eta_bound,
     i_star,
     iterate,
     lower_bound_samples,
-    mu_inf_bound,
-    mu_inf_sequence,
     n_upper_finite_d,
     n_upper_inf,
     sc_theorem_bound,

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy.stats import chi2
 
+from lemmas import gf2_rank_and_nullspace
 from purestream.core import Dimension, Seed
 from purestream.recurrence import iterate, success_prob
 from purestream.streaming import StackMachine, seeded_draws
@@ -10,7 +11,6 @@ from purestream.applications import (
     FAR_FROM_MIXED,
     MAXIMALLY_MIXED,
     SimonInstance,
-    gf2_rank_and_nullspace,
     mixedness_levels,
     mixedness_test,
     mixedness_top_pass_prob,

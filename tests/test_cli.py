@@ -9,9 +9,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from lemmas import eta_bound
 from purestream import applications, recurrence, streaming
 from purestream.cli import _region_grid, build_parser, main
-from purestream.recurrence import eta_bound
 
 
 # every command's golden argv (tests/test_goldens.py pins their bytes)

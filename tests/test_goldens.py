@@ -13,11 +13,11 @@ from pathlib import Path
 
 import pytest
 
+from lemmas import forced_draws
 from purestream import cli
 from purestream.core import Seed
 from purestream.streaming import (
     StackMachine,
-    forced_draws,
     purify_recursive,
     purify_streaming,
     seeded_draws,

@@ -4,23 +4,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lemmas import eta_bound, finite_d_coeffs, h_inf, mu_inf_bound, mu_inf_sequence
 from purestream.core import INFINITE, Dimension
 from purestream.recurrence import (
     ITERATION_CAP,
-    FiniteDCoefficients,
     delta_map,
-    eta_bound,
     expected_sample_complexity,
-    finite_d_coeffs,
     gate_count_estimate,
-    h_inf,
     i_star,
     iterate,
     iterations_to,
     kappa_map,
     lower_bound_samples,
-    mu_inf_bound,
-    mu_inf_sequence,
     n_upper_finite_d,
     n_upper_inf,
     optimal_fidelity_asymptotic,
@@ -178,7 +173,7 @@ class TestIterationsTo:
 
     def test_cap_raises(self):
         with pytest.raises(RuntimeError):
-            iterations_to(0.5, 2, 1e-300, cap=10)
+            iterations_to(1 - 1e-9, "inf", 0.5)
 
     def test_rejects_bad_eps(self):
         with pytest.raises(ValueError):
@@ -280,6 +275,21 @@ class TestIterationBounds:
             assert co.alpha == pytest.approx(alpha, abs=0.005)
             assert co.beta == pytest.approx(beta, abs=0.005)
 
+    def test_n_upper_finite_d_matches_coefficient_reference(self):
+        # n_upper_finite_d computes alpha and beta inline; rebuild the bound
+        # from the reference coefficients on a (delta, d) grid
+        for d in (2, 3, 4, 5, 8, 10, 100, 1024):
+            for delta in (0.67, 0.7, 0.8, 0.9, 0.99, 0.999, 1 - 1e-9):
+                co = finite_d_coeffs(d, delta)
+                k = 1 - delta
+                if d == 2:
+                    x = math.log(1 / (k * co.beta)) / math.log(4 / 3)
+                else:
+                    x = (math.log(1 + 1 / (co.alpha * k)) + math.log(co.alpha / co.beta)) / (
+                        math.log(1 + 1 / (d + 1))
+                    )
+                assert n_upper_finite_d(delta, d) == math.floor(x) + 1, (delta, d)
+
     def test_n_upper_finite_d_qubit(self):
         n = n_upper_finite_d(0.9, 2)
         assert n == 6
@@ -350,12 +360,6 @@ class TestGateCount:
 
     def test_zero(self):
         assert gate_count_estimate(0, 5) == 0
-
-    def test_accepts_stats_object(self):
-        from purestream.streaming import StreamStats
-
-        st = StreamStats(4, 3, 2, 0.1, 12)
-        assert gate_count_estimate(st, 2) == 12
 
 
 class TestLowerBound:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from copy_moments import copies_moments
+from lemmas import always_succeed, forced_draws
 from reference_loop import reference_run
 from purestream import streaming
 from purestream.core import Dimension, Seed
@@ -16,9 +17,7 @@ from purestream.streaming import (
     StackMachine,
     StreamStats,
     _check_balance,
-    always_succeed,
     as_draws,
-    forced_draws,
     monte_carlo,
     protocol_trace,
     purify_recursive,
@@ -120,9 +119,11 @@ class TestStructuralInvariants:
             assert st.copies_consumed >= 2**3  # the success tree alone has 2^n leaves
 
     def test_memory_bound_over_many_runs(self):
+        # purify_recursive counts the states it holds; the stack machine's
+        # max_stack_depth is n + 1 by construction
         worst = 0
         for i in range(500):
-            st = purify_streaming(0.8, 4, 4, Seed(3, i))
+            st = purify_recursive(0.8, 4, 4, Seed(3, i))
             worst = max(worst, st.max_stack_depth)
         assert worst <= 5
 
@@ -239,6 +240,17 @@ class TestRecursiveEquivalence:
         st = purify_recursive(0.3, 2, 2, always_succeed())
         assert st.copies_consumed == 4
         assert st.swap_attempts == 3
+
+    @pytest.mark.parametrize("draws", [[1.0, 1.0], [0.0, 0.0]], ids=["failures", "successes"])
+    def test_finite_draws_running_out_raise(self, draws):
+        # a bare StopIteration would end a map over runs early, silently
+        def run(it):
+            return purify_recursive(0.3, 2, 3, it)
+
+        with pytest.raises(RuntimeError, match="draws ran out"):
+            run(iter(draws))
+        with pytest.raises(RuntimeError, match="draws ran out"):
+            list(map(run, [iter(draws)]))
 
     def test_recursion_depth_guard(self):
         with pytest.raises(ValueError):

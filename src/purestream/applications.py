@@ -5,9 +5,9 @@ copy of rho' = (1-delta)|Psi><Psi| + delta I/2^(2m), which is exactly a
 depolarized pure state in dimension 2^(2m).  Purifying batches of
 queries down to a small residual error makes the measured strings y
 almost always satisfy y . s = 0, so plain GF(2) reconstruction works and
-the hard "learning with errors" decoding never arises.  The purifier's
-tables depend only on (delta, d, eps), so they are built once per size
-and shared by every trial and sample.
+the hard "learning with errors" decoding never arises.  The purifier
+depends only on (delta, d, eps), so one machine is built per size and
+shared by every trial and sample.
 
 Mixedness testing: under the promise that the stream is either
 maximally mixed or a depolarized pure state at least eta-far from I/d,
@@ -24,8 +24,8 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from .core import Dimension, as_generator, check_dim, check_open_unit
-from .recurrence import ITERATION_CAP, RecurrenceTrace, iterations_to, orbit, success_prob
-from .streaming import StackMachine, protocol_trace
+from .recurrence import ITERATION_CAP, iterations_to, orbit, success_prob
+from .streaming import StackMachine, protocol_trace, seeded_draws
 
 if TYPE_CHECKING:
     import numpy as np
@@ -126,20 +126,14 @@ def _insert(v: int, pivots: dict[int, int]):
 
 
 @functools.cache
-def _purifier_trace(delta: float, d: int, eps_target: float) -> RecurrenceTrace:
-    """Tables of the per-sample purifier, from oracle error delta to below eps_target.
+def _purifier(delta: float, d: int, eps_target: float) -> StackMachine:
+    """The per-sample purifier, from oracle error delta to below eps_target.
 
-    They depend on (delta, d, eps_target) only, never on the hidden string,
-    so every trial of a size shares one walk; protocol_trace caps the run.
+    It depends on (delta, d, eps_target) alone, so every trial of a size shares it.
     """
     if not (0.0 < eps_target < delta):
         raise ValueError("eps_target must lie in (0, oracle_delta)")
-    return protocol_trace(delta, d, iterations_to(delta, Dimension.finite(d), eps_target))
-
-
-def _purifier(instance: SimonInstance, eps_target: float) -> StackMachine:
-    d = instance.oracle_dim
-    trace = _purifier_trace(instance.oracle_delta, d, eps_target)
+    trace = protocol_trace(delta, d, iterations_to(delta, Dimension.finite(d), eps_target))
     return StackMachine(d, trace.deltas, trace.ps)
 
 
@@ -158,7 +152,7 @@ def _purified_y(instance: SimonInstance, machine: StackMachine, rng) -> tuple[in
     purified state's first register: the surviving ideal branch gives y
     uniform on s-perp, the depolarized branch y uniform on {0,1}^m.
     """
-    stats = machine.run(rng)
+    stats = machine.run(seeded_draws(rng))
     if rng.random() < stats.final_delta:
         y = int(rng.integers(0, 1 << instance.m))  # depolarized branch
     else:
@@ -168,7 +162,8 @@ def _purified_y(instance: SimonInstance, machine: StackMachine, rng) -> tuple[in
 
 def sample_purified_y(instance: SimonInstance, eps_target: float, rng) -> tuple[str, int]:
     """One purified Simon sample: (y bit-string, oracle queries used)."""
-    y, queries = _purified_y(instance, _purifier(instance, eps_target), as_generator(rng))
+    machine = _purifier(instance.oracle_delta, instance.oracle_dim, eps_target)
+    y, queries = _purified_y(instance, machine, as_generator(rng))
     return _mask_to_bits(y, instance.m), queries
 
 
@@ -191,7 +186,7 @@ def solve_simon(
     if budget < 1:
         raise ValueError("budget must be >= 1")
     rng = as_generator(rng)
-    machine = _purifier(instance, eps_target)
+    machine = _purifier(instance.oracle_delta, instance.oracle_dim, eps_target)
     m = instance.m
 
     queries = 0
@@ -255,10 +250,10 @@ class MixednessOutcome:
 def mixedness_levels(eta: float) -> int:
     """Purifier depth that drives a far-from-mixed stream below 2^-10, <= ITERATION_CAP."""
     check_open_unit(eta=eta)
-    n = math.ceil(15.0 + 2.0 / eta + 2.0 * math.log(2.0 / eta))
-    if n > ITERATION_CAP:
-        raise ValueError(f"eta = {eta} needs {n} levels, over ITERATION_CAP = {ITERATION_CAP}")
-    return n
+    n = 15.0 + 2.0 / eta + 2.0 * math.log(2.0 / eta)
+    if n > ITERATION_CAP:  # before rounding, which a tiny eta's inf would overflow
+        raise ValueError(f"eta = {eta} needs {n:.3g} levels, over ITERATION_CAP = {ITERATION_CAP}")
+    return math.ceil(n)
 
 
 @functools.cache

@@ -47,12 +47,10 @@ def swap_output_delta(delta1: float, delta2: float, dim) -> float:
         delta' = ((delta_1 + delta_2)/2 + delta_1 delta_2 / d)
                  / ((1 + 1/d) + (1 - 1/d)(1 - delta_1)(1 - delta_2)).
     """
-    check_closed_unit(delta1=delta1, delta2=delta2)
-    r = as_dimension(dim).inv
-    overlap = (1.0 - delta1) * (1.0 - delta2)
-    num = (delta1 + delta2) / 2.0 + delta1 * delta2 * r
-    den = (1.0 + r) + (1.0 - r) * overlap
-    return num / den
+    p = swap_success_prob(delta1, delta2, dim)  # checks the arguments first
+    num = (delta1 + delta2) / 2.0 + delta1 * delta2 * as_dimension(dim).inv
+    # 2p is the denominator to the bit: halving and doubling a value >= 1 are exact
+    return num / (2.0 * p)
 
 
 def improves_both(delta1: float, delta2: float, dim) -> bool:

@@ -114,20 +114,17 @@ class StreamStats:
 def seeded_draws(rng: np.random.Generator) -> Iterator[float]:
     """The generator's uniform floats, from blocks of FIRST_BLOCK doubling up to MAX_BLOCK.
 
-    The first block is drawn now, each later one when the previous runs
-    out.  A fixed seed reproduces runs bit-for-bit, also when several
-    machines share one generator in turn.
+    Each block is drawn when the previous one runs out, the first at the
+    first draw.  A fixed seed reproduces runs bit-for-bit, also when
+    several machines share one generator in turn.
     """
-    first = rng.random(FIRST_BLOCK).tolist()
-    later = (rng.random(min(FIRST_BLOCK << j, MAX_BLOCK)).tolist() for j in itertools.count(1))
-    return itertools.chain.from_iterable(itertools.chain([first], later))
+    blocks = (rng.random(min(FIRST_BLOCK << j, MAX_BLOCK)).tolist() for j in itertools.count())
+    return itertools.chain.from_iterable(blocks)
 
 
 def as_draws(source) -> Iterator[float]:
     """An iterator of draws as is; otherwise seeded_draws of a Seed, int or Generator."""
-    if isinstance(source, Iterator):
-        return source
-    return seeded_draws(as_generator(source))
+    return source if isinstance(source, Iterator) else seeded_draws(as_generator(source))
 
 
 class StackMachine:
@@ -147,10 +144,10 @@ class StackMachine:
     level, and at most n - 1 states are held beside the pair.  A finished
     run has held all n + 1, so its max_stack_depth is n + 1.  A run counts
     only per-level attempts and successes, from which copies
-    (2 * level_attempts[0]), total attempts and first_top_success derive;
-    _check_balance checks them at the end of every run.  A machine holds
-    only its tables, so one serves many runs; each run leaves its own
-    level_attempts and level_successes lists and first_top_success on it.
+    (2 * level_attempts[0]) and total attempts derive; _check_balance
+    checks them at the end of every run.  A machine holds only its tables,
+    so one serves many runs; each run leaves its own level_attempts and
+    level_successes lists on it.
     """
 
     def __init__(self, d: int, delta_table, p_of_level):
@@ -168,13 +165,12 @@ class StackMachine:
         return cls(d, trace.deltas, trace.ps)
 
     def run(self, draws) -> StreamStats:
-        """One run on a Seed, int, Generator or iterator of draws (RuntimeError if it runs out)."""
-        draws = as_draws(draws)
+        """One run on an iterator of uniform draws (RuntimeError if it runs out)."""
+        draws = iter(draws)
         draw = draws.__next__
         n = self.n
         self.level_attempts = level_attempts = [0] * max(n, 1)
         self.level_successes = level_successes = [0] * max(n, 1)
-        self.first_top_success = None
         if n == 0:
             # Degenerate protocol: hand back one raw copy untouched.
             return StreamStats(1, 0, 1, self.delta_table[0], 0)
@@ -208,7 +204,6 @@ class StackMachine:
         level_attempts[0] = pairs
 
         _check_balance(level_attempts, level_successes, held)
-        self.first_top_success = level_attempts[n - 1] == 1
         attempts = sum(level_attempts)
         return StreamStats(
             copies_consumed=2 * level_attempts[0],
@@ -237,7 +232,7 @@ def _check_balance(level_attempts, level_successes, held):
 
 def purify_streaming(delta0: float, d: int, n: int, seed) -> StreamStats:
     """One stack-machine run of the n-level protocol; see StackMachine."""
-    return StackMachine.for_protocol(delta0, d, n).run(seed)
+    return StackMachine.for_protocol(delta0, d, n).run(as_draws(seed))
 
 
 def purify_recursive(delta0: float, d: int, n: int, seed) -> StreamStats:

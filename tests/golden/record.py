@@ -82,7 +82,7 @@ def machine_record(machine: StackMachine, outcomes) -> dict:
                   st.final_delta, st.gate_count],
         "level_attempts": list(machine.level_attempts),
         "level_successes": list(machine.level_successes),
-        "first_top_success": machine.first_top_success,
+        "first_top_success": machine.level_attempts[-1] == 1,
     }
 
 
@@ -95,7 +95,9 @@ def record_runs() -> dict:
     seeded = []
     for delta0, d, n, key in SEEDED_POINTS:
         runs = [
-            machine_record(StackMachine.for_protocol(delta0, d, n), Seed(key, i).generator())
+            machine_record(
+                StackMachine.for_protocol(delta0, d, n), seeded_draws(Seed(key, i).generator())
+            )
             for i in range(SEEDED_RUNS)
         ]
         seeded.append({"point": [delta0, d, n], "seed": key, "runs": runs})

@@ -9,7 +9,7 @@ position in a shared draws iterator.
 from __future__ import annotations
 
 from purestream.recurrence import gate_count_estimate
-from purestream.streaming import StackMachine, StreamStats, _check_balance, as_draws
+from purestream.streaming import StackMachine, StreamStats, _check_balance
 
 
 def reference_run(machine: StackMachine, draws):
@@ -17,7 +17,7 @@ def reference_run(machine: StackMachine, draws):
 
     Returns (stats, level_attempts, level_successes, first_top_success).
     """
-    draw = as_draws(draws).__next__
+    draw = iter(draws).__next__
     n = machine.n
     level_attempts = [0] * max(n, 1)
     level_successes = [0] * max(n, 1)

@@ -222,7 +222,8 @@ def test_criterion_08_memory_bound_and_invariants(mc_summaries, simon_battery):
         ]
         for _, delta0, d, n, runs in batteries:
             for i in range(runs):
-                st = StackMachine.for_protocol(delta0, d, n).run(Seed(808, i))
+                outcomes = seeded_draws(Seed(808, i).generator())
+                st = StackMachine.for_protocol(delta0, d, n).run(outcomes)
                 assert st.max_stack_depth == n + 1
         # delta = 1 fixed-point machines (maximally mixed stream)
         from purestream.recurrence import success_prob

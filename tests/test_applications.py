@@ -116,7 +116,7 @@ class TestSampleDistribution:
         inst = SimonInstance(2, "11", 0.5)
         eps = 0.05
         rng = Seed(51).generator()
-        machine = apps._purifier(inst, eps)
+        machine = apps._purifier(inst.oracle_delta, inst.oracle_dim, eps)
         assert machine.delta_table[-1] <= eps
         bad = 0
         n = 10**4
@@ -131,7 +131,7 @@ class TestSampleDistribution:
         inst = SimonInstance(2, "10", 0.4)
         y, queries = sample_purified_y(inst, 0.1, Seed(52))
         assert len(y) == 2 and set(y) <= {"0", "1"}
-        assert queries >= 2 ** apps._purifier(inst, 0.1).n
+        assert queries >= 2 ** apps._purifier(inst.oracle_delta, inst.oracle_dim, 0.1).n
 
     def test_rejects_eps_at_least_delta(self):
         inst = SimonInstance(2, "10", 0.4)
@@ -191,6 +191,11 @@ class TestMixedness:
         with pytest.raises(ValueError, match="eta"):
             mixedness_levels(1e-7)
 
+    def test_levels_capped_before_rounding(self):
+        # 2 / 5e-324 overflows to inf, which math.ceil cannot take
+        with pytest.raises(ValueError, match="needs inf levels"):
+            mixedness_levels(5e-324)
+
     def test_top_pass_prob_mixed_case(self):
         assert mixedness_top_pass_prob(1.0, 2, 0.5) == pytest.approx(0.75, abs=1e-15)
         assert mixedness_top_pass_prob(1.0, 64, 0.5) == pytest.approx(
@@ -236,7 +241,7 @@ class TestMixedness:
         machine = StackMachine(d, trace.deltas, trace.ps)
         for i in range(runs):
             machine.run(seeded_draws(Seed(60, i).generator()))
-            hits += machine.first_top_success
+            hits += machine.level_attempts[-1] == 1
         p = trace.ps[-1]
         se = (p * (1 - p) / runs) ** 0.5
         assert abs(hits / runs - p) <= 4 * se
@@ -251,6 +256,6 @@ class TestMixedness:
         machine = StackMachine(d, [1.0] * (n + 1), [p1] * n)
         for i in range(runs):
             machine.run(seeded_draws(Seed(61, i).generator()))
-            hits += machine.first_top_success
+            hits += machine.level_attempts[-1] == 1
         se = (p1 * (1 - p1) / runs) ** 0.5
         assert abs(hits / runs - p1) <= 4 * se

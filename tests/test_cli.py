@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -307,11 +308,11 @@ class TestSimonCommand:
             return real(*args)
 
         monkeypatch.setattr(applications, "iterations_to", counted)
-        applications._purifier_trace.cache_clear()
+        applications._purifier.cache_clear()
         try:
             assert run_cli(["simon", "--m", "2,3", "--trials", "20"]) == 0
         finally:
-            applications._purifier_trace.cache_clear()
+            applications._purifier.cache_clear()
         # one walk per register size 4^m, shared by all 20 trials of it
         assert [str(args[1]) for args in calls] == ["16", "64"]
 
@@ -346,6 +347,28 @@ class TestMixednessCommand:
         # the far case walks its orbit once; the mixed case (delta = 1) not at all
         assert len(calls) == 1
         assert calls[0][0] == 1 - 0.01 / 2
+
+    @pytest.mark.parametrize("eta", ["5e-324", "1e-300"])
+    def test_tiny_eta_refused_in_one_short_line(self, eta, capsys):
+        # the depth is checked against ITERATION_CAP before it is rounded
+        assert run_cli(["mixedness", "--eta", eta, "--trials", "1"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: eta = {float(eta)} needs ") and "ITERATION_CAP" in err
+        assert len(err) < 200
+
+    def test_help_states_default_misread_rate(self, capsys):
+        # a maximally mixed rep passes with probability (1 + 1/d)/2, and a
+        # trial is misread when at least tau * reps of its reps pass
+        args = build_parser().parse_args(["mixedness"])
+        p = recurrence.success_prob(1.0, args.d)
+        k0 = math.ceil(args.tau * args.reps)
+        tail = sum(
+            math.comb(args.reps, k) * p**k * (1 - p) ** (args.reps - k)
+            for k in range(k0, args.reps + 1)
+        )
+        with pytest.raises(SystemExit):
+            main(["mixedness", "--help"])
+        assert f"probability {tail:.4f}" in " ".join(capsys.readouterr().out.split())
 
     def test_single_class(self, tmp_path):
         out = tmp_path / "mix2.json"
@@ -509,6 +532,7 @@ BAD_ARG_CASES = [
     (["mixedness", "--tau", "2"], "threshold "),
     (["mixedness", "--tau", "nan"], "threshold "),
     (["mixedness", "--case", "mixed", "--eta", "1e-7", "--trials", "2"], "eta"),
+    (["mixedness", "--case", "mixed", "--eta", "5e-324", "--trials", "2"], "eta"),
     (["simulate", "--d", "2", "--delta0", "0.3", "--levels", "0"], "argument --levels: "),
     (["simulate", "--d", "2", "--delta0", "0.3", "--levels", "-1"], "argument --levels: "),
     (

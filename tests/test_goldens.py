@@ -13,6 +13,7 @@ from pathlib import Path
 
 import pytest
 
+from golden.record import machine_record
 from lemmas import forced_draws
 from purestream import cli
 from purestream.core import Seed
@@ -28,31 +29,20 @@ RUNS = json.loads((GOLDEN / "stack_machine.json").read_text())
 CLI = json.loads((GOLDEN / "cli_sha256.json").read_text())
 
 
-def run_record(machine, outcomes):
-    st = machine.run(outcomes)
-    return {
-        "stats": [st.copies_consumed, st.swap_attempts, st.max_stack_depth,
-                  st.final_delta, st.gate_count],
-        "level_attempts": list(machine.level_attempts),
-        "level_successes": list(machine.level_successes),
-        "first_top_success": machine.first_top_success,
-    }
-
-
 @pytest.mark.parametrize("point", RUNS["seeded"], ids=lambda p: str(p["point"]))
 def test_seeded_runs(point):
     delta0, d, n = point["point"]
     for i, want in enumerate(point["runs"]):
-        gen = Seed(point["seed"], i).generator()
+        draws = seeded_draws(Seed(point["seed"], i).generator())
         machine = StackMachine.for_protocol(delta0, d, n)
-        assert run_record(machine, gen) == want, i
+        assert machine_record(machine, draws) == want, i
 
 
 def test_forced_runs():
     for case in RUNS["forced"]:
         delta0, d, n = case["point"]
         outcomes = forced_draws(bit == "1" for bit in case["outcomes"])
-        got = run_record(StackMachine.for_protocol(delta0, d, n), outcomes)
+        got = machine_record(StackMachine.for_protocol(delta0, d, n), outcomes)
         want = {k: case[k] for k in got}
         assert got == want, case["point"]
 
@@ -63,7 +53,7 @@ def test_shared_generator_block_schedule():
     rng = Seed(RUNS["shared"]["seed"]).generator()
     for case in RUNS["shared"]["runs"]:
         delta0, d, n = case["point"]
-        got = run_record(StackMachine.for_protocol(delta0, d, n), seeded_draws(rng))
+        got = machine_record(StackMachine.for_protocol(delta0, d, n), seeded_draws(rng))
         got["next_draw"] = float(rng.random())
         assert got == {k: case[k] for k in got}, case["point"]
 
@@ -72,12 +62,12 @@ def test_machine_rerun_resets_artifacts():
     # a second run continues on the same draws and matches a fresh machine there
     machine = StackMachine.for_protocol(0.6, 8, 6)
     shared = seeded_draws(Seed(701, 0).generator())
-    first = run_record(machine, shared)
-    second = run_record(machine, shared)
+    first = machine_record(machine, shared)
+    second = machine_record(machine, shared)
     outcomes = seeded_draws(Seed(701, 0).generator())
     StackMachine.for_protocol(0.6, 8, 6).run(outcomes)
     assert first == RUNS["seeded"][1]["runs"][0]
-    assert second == run_record(StackMachine.for_protocol(0.6, 8, 6), outcomes)
+    assert second == machine_record(StackMachine.for_protocol(0.6, 8, 6), outcomes)
 
 
 # n = 1, the golden points' (0.6, 8, 6), and two long runs (~2,300 and ~3,400

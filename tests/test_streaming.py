@@ -38,7 +38,7 @@ class TestDegenerateAndRigged:
         assert st.copies_consumed == 2
         assert st.swap_attempts == 1
         assert st.max_stack_depth == 2
-        assert machine.first_top_success is True
+        assert machine.level_attempts[-1] == 1
 
     def test_two_levels_always_success_consumes_full_tree(self):
         st = purify_streaming(0.3, 2, 2, always_succeed())
@@ -110,6 +110,14 @@ class TestDraws:
         for source in (Seed(5), 5, np.int64(5), Seed(5).generator()):
             assert list(itertools.islice(as_draws(source), 300)) == want
 
+    @pytest.mark.parametrize("n", [0, 3])
+    def test_run_takes_only_draws(self, n):
+        # seeds become draws at the public entries, never inside run
+        machine = StackMachine.for_protocol(0.3, 2, n)
+        for seed in (Seed(1), 1, Seed(1).generator()):
+            with pytest.raises(TypeError):
+                machine.run(seed)
+
 
 class TestStructuralInvariants:
     def test_copies_even_and_at_least_full_tree(self):
@@ -119,13 +127,20 @@ class TestStructuralInvariants:
             assert st.copies_consumed >= 2**3  # the success tree alone has 2^n leaves
 
     def test_memory_bound_over_many_runs(self):
-        # purify_recursive counts the states it holds; the stack machine's
-        # max_stack_depth is n + 1 by construction
-        worst = 0
-        for i in range(500):
-            st = purify_recursive(0.8, 4, 4, Seed(3, i))
-            worst = max(worst, st.max_stack_depth)
-        assert worst <= 5
+        # purify_recursive counts the states it holds, and every finished run
+        # holds n + 1 at once; the stack machine's n + 1 holds by construction
+        for n in range(1, 7):
+            outcomes = fail_once_per_level(n)
+            machine = StackMachine.for_protocol(0.8, 4, n)
+            st = machine.run(forced_draws(outcomes))
+            # the rig fails one test at every level, the top one included
+            failures = [a - s for a, s in zip(machine.level_attempts, machine.level_successes)]
+            assert failures == [1] * n
+            assert st.swap_attempts == len(outcomes)
+            assert purify_recursive(0.8, 4, n, forced_draws(outcomes)) == st
+            assert st.max_stack_depth == n + 1
+        for i in range(20):
+            assert purify_recursive(0.8, 4, 4, Seed(3, i)).max_stack_depth == 5
 
     def test_pairing_violation_detected(self):
         # held flags make unequal-level pairing impossible, so the per-run
@@ -150,7 +165,7 @@ class TestStructuralInvariants:
         suc = np.zeros(n, dtype=int)
         machine = StackMachine.for_protocol(delta0, d, n)
         for i in range(4000):
-            machine.run(Seed(6, i))
+            machine.run(as_draws(Seed(6, i)))
             att += machine.level_attempts
             suc += machine.level_successes
         assert att[0] >= 10**4  # level 0 dominates the attempt counts
@@ -166,15 +181,27 @@ class TestStructuralInvariants:
         machine = StackMachine.for_protocol(delta0, d, n)
         kept = []
         for i in range(40):
-            stats = machine.run(Seed(712, i))
+            stats = machine.run(as_draws(Seed(712, i)))
             kept.append((stats, machine.level_attempts, machine.level_successes,
-                         machine.first_top_success))
+                         machine.level_attempts[-1] == 1))
         assert len({id(k[1]) for k in kept}) == len({id(k[2]) for k in kept}) == 40
         for i, record in enumerate(kept):
             fresh = StackMachine.for_protocol(delta0, d, n)
-            stats = fresh.run(Seed(712, i))
+            stats = fresh.run(as_draws(Seed(712, i)))
             assert record == (stats, fresh.level_attempts, fresh.level_successes,
-                              fresh.first_top_success), i
+                              fresh.level_attempts[-1] == 1), i
+
+
+def fail_once_per_level(n):
+    """Outcomes, in draw order, of a level-n build that fails one test at each level.
+
+    The first level-(n-1) state is built by the same rule, the second with
+    every test passing; the top test fails, and both are rebuilt clean.
+    """
+    if n == 0:
+        return []
+    clean = [True] * (2 ** (n - 1) - 1)
+    return fail_once_per_level(n - 1) + clean + [False] + clean + clean + [True]
 
 
 def random_machine(rng):
@@ -196,7 +223,7 @@ def outcome(call):
 
 def machine_run(machine, draws):
     stats = machine.run(draws)
-    return stats, machine.level_attempts, machine.level_successes, machine.first_top_success
+    return stats, machine.level_attempts, machine.level_successes, machine.level_attempts[-1] == 1
 
 
 class TestReferenceLoop:

@@ -21,14 +21,10 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 from .core import Dimension, as_generator, check_dim, check_open_unit
 from .recurrence import ITERATION_CAP, iterations_to, orbit, success_prob
 from .streaming import StackMachine, protocol_trace, seeded_draws
-
-if TYPE_CHECKING:
-    import numpy as np
 
 __all__ = [
     "SimonInstance",
@@ -91,28 +87,17 @@ def _parity(x: int) -> int:
     return x.bit_count() & 1
 
 
-def _nullspace(pivots: dict[int, int], m: int) -> list[int]:
-    """Nullspace basis masks of an echelon basis keyed by pivot position.
+def _null_vector(pivots: dict[int, int], m: int) -> int:
+    """The nonzero null vector of an echelon basis of rank m - 1, keyed by pivot position.
 
-    One mask per free column, msb-first.  Reduces `pivots` in place.
+    It has the free column set; each pivot bit, from the lowest up, makes
+    its row (whose bits lie at and below its pivot) orthogonal to it.
     """
-    # Back-substitute so each pivot column appears in exactly one row.
+    (free,) = set(range(m)) - pivots.keys()
+    v = 1 << free
     for pos in sorted(pivots):
-        row = pivots[pos]
-        for other_pos, other in list(pivots.items()):
-            if other_pos != pos and (other >> pos) & 1:
-                pivots[other_pos] = other ^ row
-
-    basis = []
-    for f in range(m - 1, -1, -1):
-        if f in pivots:
-            continue
-        v = 1 << f
-        for pos, row in pivots.items():
-            if (row >> f) & 1:
-                v |= 1 << pos
-        basis.append(v)
-    return basis
+        v |= _parity(pivots[pos] & v) << pos
+    return v
 
 
 def _insert(v: int, pivots: dict[int, int]):
@@ -137,26 +122,19 @@ def _purifier(delta: float, d: int, eps_target: float) -> StackMachine:
     return StackMachine(d, trace.deltas, trace.ps)
 
 
-def _ideal_y(instance: SimonInstance, rng: np.random.Generator) -> int:
-    """y uniform on s-perp: flipping the lowest set bit of s maps y.s = 1 onto it."""
-    y = int(rng.integers(0, 1 << instance.m))
-    if _parity(y & instance.s_mask):
-        y ^= instance.s_mask & -instance.s_mask
-    return y
-
-
 def _purified_y(instance: SimonInstance, machine: StackMachine, rng) -> tuple[int, int]:
     """One purified measurement outcome y and the oracle queries it used.
 
     Runs the purifier (one oracle query per raw copy) and then measures the
-    purified state's first register: the surviving ideal branch gives y
-    uniform on s-perp, the depolarized branch y uniform on {0,1}^m.
+    purified state's first register: the depolarized branch gives y uniform
+    on {0,1}^m, the surviving ideal branch y uniform on s-perp, since
+    flipping the lowest set bit of s maps y.s = 1 onto it.
     """
     stats = machine.run(seeded_draws(rng))
-    if rng.random() < stats.final_delta:
-        y = int(rng.integers(0, 1 << instance.m))  # depolarized branch
-    else:
-        y = _ideal_y(instance, rng)
+    depolarized = rng.random() < stats.final_delta
+    y = int(rng.integers(0, 1 << instance.m))
+    if not depolarized and _parity(y & instance.s_mask):
+        y ^= instance.s_mask & -instance.s_mask
     return y, stats.copies_consumed
 
 
@@ -200,6 +178,7 @@ def solve_simon(
         samples += 1
         return y
 
+    s_hat_mask = None
     while samples < budget:
         _insert(draw(), pivots)
         # a single insert raises the rank by at most one, and rank m-1
@@ -207,22 +186,18 @@ def solve_simon(
         if len(pivots) < m - 1:
             continue
 
-        s_hat_mask = _nullspace(pivots, m)[0]
+        candidate = _null_vector(pivots, m)
         # two fresh samples within the budget must be orthogonal to it
-        if all(samples < budget and not _parity(draw() & s_hat_mask) for _ in range(2)):
-            return SimonResult(
-                s_hat=_mask_to_bits(s_hat_mask, m),
-                total_oracle_queries=queries,
-                samples_collected=samples,
-                success=s_hat_mask == instance.s_mask,
-            )
+        if all(samples < budget and not _parity(draw() & candidate) for _ in range(2)):
+            s_hat_mask = candidate
+            break
         pivots = {}
 
     return SimonResult(
-        s_hat=None,
+        s_hat=None if s_hat_mask is None else _mask_to_bits(s_hat_mask, m),
         total_oracle_queries=queries,
         samples_collected=samples,
-        success=False,
+        success=s_hat_mask == instance.s_mask,
     )
 
 

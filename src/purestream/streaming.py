@@ -24,11 +24,13 @@ from collections.abc import Iterator
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .core import Dimension, Seed, as_generator, as_seed, check_dim, check_open_unit
+from .core import Dimension, as_generator, as_seed, check_closed_unit, check_dim, check_open_unit
 from .recurrence import RecurrenceTrace, gate_count_estimate, iterate
 
 if TYPE_CHECKING:
     import numpy as np
+
+    from .core import Seed
 
 __all__ = [
     "StreamStats",
@@ -146,8 +148,9 @@ class StackMachine:
     only per-level attempts and successes, from which copies
     (2 * level_attempts[0]) and total attempts derive; _check_balance
     checks them at the end of every run.  A machine holds only its tables,
-    so one serves many runs; each run leaves its own level_attempts and
-    level_successes lists on it.
+    checked once when it is built (each p_i in (0, 1], each delta_i in
+    [0, 1]), so one serves many runs; each run leaves its own
+    level_attempts and level_successes lists on it.
     """
 
     def __init__(self, d: int, delta_table, p_of_level):
@@ -158,6 +161,10 @@ class StackMachine:
         self.n = len(self.delta_table) - 1
         if len(self.p_of_level) != self.n:
             raise ValueError("need one success probability per level transition")
+        check_closed_unit(**{f"delta_table[{i}]": x for i, x in enumerate(self.delta_table)})
+        for i, p in enumerate(self.p_of_level):
+            if not 0.0 < p <= 1.0:  # p = 0 would never end a run, and NaN fails too
+                raise ValueError(f"p_of_level[{i}] must lie in (0, 1], got {p}")
 
     @classmethod
     def for_protocol(cls, delta0: float, d: int, n: int):
@@ -321,17 +328,14 @@ def _mc_stream(machine: StackMachine, root: Seed, runs: int, b: int):
     """Stream b of `runs` monte_carlo runs: copies per run, per-level attempt and success sums."""
     import numpy as np
 
-    n = machine.n
     copies = np.empty(min(runs - b * RUNS_PER_STREAM, RUNS_PER_STREAM), dtype=np.int64)
-    lev_att = [0] * n
-    lev_suc = [0] * n
+    att_rows, suc_rows = [], []  # each run's own lists, summed once per stream
     draws = seeded_draws(root.child_generator(b))
     for i in range(len(copies)):
         copies[i] = machine.run(draws).copies_consumed
-        for lv in range(n):
-            lev_att[lv] += machine.level_attempts[lv]
-            lev_suc[lv] += machine.level_successes[lv]
-    return copies, lev_att, lev_suc
+        att_rows.append(machine.level_attempts)
+        suc_rows.append(machine.level_successes)
+    return copies, list(map(sum, zip(*att_rows))), list(map(sum, zip(*suc_rows)))
 
 
 def monte_carlo(

@@ -6,7 +6,8 @@ the constants behind recurrence.n_upper_finite_d.  The package never calls
 any of them: the tests check the recurrence against them.  forced_draws
 and always_succeed rig a run's swap-test outcomes, and
 gf2_rank_and_nullspace is the bit-string face of the GF(2) elimination
-that solve_simon runs on masks.
+that solve_simon runs on masks, with the general nullspace basis that
+solve_simon does not need: it reads one null vector, at rank m - 1.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import math
 from collections.abc import Iterator
 from typing import NamedTuple
 
-from purestream.applications import _insert, _mask_to_bits, _nullspace
+from purestream.applications import _insert, _mask_to_bits
 
 
 def eta_bound(delta: float, i: int) -> float:
@@ -114,6 +115,30 @@ def forced_draws(outcomes) -> Iterator[float]:
 def always_succeed() -> Iterator[float]:
     """Draws that pass every swap test."""
     return itertools.repeat(0.0)
+
+
+def _nullspace(pivots: dict[int, int], m: int) -> list[int]:
+    """Nullspace basis masks of an echelon basis keyed by pivot position.
+
+    One mask per free column, msb-first.  Reduces `pivots` in place.
+    """
+    # Back-substitute so each pivot column appears in exactly one row.
+    for pos in sorted(pivots):
+        row = pivots[pos]
+        for other_pos, other in list(pivots.items()):
+            if other_pos != pos and (other >> pos) & 1:
+                pivots[other_pos] = other ^ row
+
+    basis = []
+    for f in range(m - 1, -1, -1):
+        if f in pivots:
+            continue
+        v = 1 << f
+        for pos, row in pivots.items():
+            if (row >> f) & 1:
+                v |= 1 << pos
+        basis.append(v)
+    return basis
 
 
 def gf2_rank_and_nullspace(rows, m: int | None = None):

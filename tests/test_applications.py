@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy.stats import chi2
 
-from lemmas import gf2_rank_and_nullspace
+from lemmas import _nullspace, gf2_rank_and_nullspace
 from purestream.core import Dimension, Seed
 from purestream.recurrence import iterate, success_prob
 from purestream.streaming import StackMachine, seeded_draws
@@ -73,16 +73,34 @@ class TestGF2:
         assert rank == 2
         assert basis == ["111"]
 
+    @pytest.mark.parametrize("m", range(2, 9))
+    def test_null_vector_matches_general_basis(self, m):
+        # rank-(m-1) echelon bases from random rows of s-perp, s random and nonzero
+        rng = Seed(49, m).generator()
+        for _ in range(50):
+            s = int(rng.integers(1, 1 << m))
+            pivots, rows = {}, []
+            while len(pivots) < m - 1:
+                y = int(rng.integers(0, 1 << m))
+                if not apps._parity(y & s):
+                    rows.append(y)
+                    apps._insert(y, pivots)
+            v = apps._null_vector(pivots, m)
+            assert v == _nullspace(dict(pivots), m)[0] == s
+            assert all(not apps._parity(y & v) for y in rows)
+
 
 class TestSampleDistribution:
     def test_ideal_marginal_uniform_on_s_perp_chisquare(self):
-        # m = 3, 10^4 draws, alpha = 0.01
+        # m = 3, 10^4 draws, alpha = 0.01, from a purifier whose final
+        # delta is 0, so the sample is never depolarized
         inst = SimonInstance(3, "101", 0.5)
+        machine = StackMachine(inst.oracle_dim, [0.5, 0.0], [1.0])
         rng = Seed(50).generator()
         counts = {}
         n = 10**4
         for _ in range(n):
-            y = apps._ideal_y(inst, rng)
+            y, _ = apps._purified_y(inst, machine, rng)
             counts[y] = counts.get(y, 0) + 1
         s_perp = [y for y in range(8) if bin(y & 0b101).count("1") % 2 == 0]
         assert sorted(counts) == s_perp

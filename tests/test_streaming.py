@@ -325,16 +325,27 @@ class TestMonteCarlo:
     def test_runs_share_one_stream_in_order(self):
         # runs k..k+j of stream b are successive machine.run calls on one
         # seeded_draws(root.child_generator(b)), and run RUNS_PER_STREAM
-        # starts stream 1 afresh rather than continuing stream 0
+        # starts stream 1 afresh rather than continuing stream 0; the level
+        # counts are the sums of every run's own lists, over both streams
         point, root, tail = (0.6, 8, 6), Seed(27, 4), 6
-        _, samples = monte_carlo(*point, RUNS_PER_STREAM + tail, root, keep_samples=True)
+        summary, samples = monte_carlo(*point, RUNS_PER_STREAM + tail, root, keep_samples=True)
         machine = StackMachine.for_protocol(*point)
+        counts = []  # each run's (level_attempts, level_successes)
+
+        def hand_run(draws):
+            copies = machine.run(draws).copies_consumed
+            counts.append((machine.level_attempts, machine.level_successes))
+            return copies
+
         stream0 = seeded_draws(root.child_generator(0))
-        want = [machine.run(stream0).copies_consumed for _ in range(RUNS_PER_STREAM)]
+        want = [hand_run(stream0) for _ in range(RUNS_PER_STREAM)]
         assert samples[:RUNS_PER_STREAM].tolist() == want
         stream1 = seeded_draws(root.child_generator(1))
-        want = [machine.run(stream1).copies_consumed for _ in range(tail)]
+        want = [hand_run(stream1) for _ in range(tail)]
         assert samples[RUNS_PER_STREAM:].tolist() == want
+        att, suc = np.array(counts).sum(axis=0).tolist()
+        assert summary.level_attempts == tuple(att)
+        assert summary.level_successes == tuple(suc)
         stream0_continued = [machine.run(stream0).copies_consumed for _ in range(tail)]
         assert want != stream0_continued
 
@@ -429,6 +440,25 @@ class TestMonteCarlo:
             monte_carlo(0.5, 2, 3, 0, Seed(0))
         with pytest.raises(ValueError):
             purify_streaming(1.5, 2, 3, Seed(0))
+
+
+class TestMachineTables:
+    # a machine refuses at construction the tables a run cannot use: a
+    # level that never passes would never end a run
+    @pytest.mark.parametrize(
+        "deltas, ps, bad",
+        [
+            ([0.5, 0.2], [0.0], "p_of_level"),
+            ([0.5, 0.2], [1.5], "p_of_level"),
+            ([0.5, 0.2, 0.1], [0.7, float("nan")], "p_of_level"),
+            ([0.5, float("nan")], [0.7], "delta_table"),
+            ([-0.1, 0.2], [0.7], "delta_table"),
+        ],
+        ids=["p-zero", "p-over-one", "p-nan", "delta-nan", "delta-negative"],
+    )
+    def test_refuses_tables_it_cannot_run(self, deltas, ps, bad):
+        with pytest.raises(ValueError, match=bad):
+            StackMachine(2, deltas, ps)
 
 
 class TestProtocolEntry:

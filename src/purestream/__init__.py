@@ -3,7 +3,7 @@
 Subpackages:
   core          dimension type, seeds, shared argument checks
   recurrence    exact per-level recurrences, iteration bounds, complexity formulas
-  gadget        closed-form algebra of one swap test on unequal inputs
+  gadget        closed-form algebra of one swap test on any pair of inputs
   dense_oracle  brute-force density-matrix validation at small d
   streaming     stochastic stack-machine simulation with resource accounting
   applications  Simon's problem with a faulty oracle; mixedness testing

@@ -69,9 +69,10 @@ class Dimension:
 
         All analytic maps in this package depend on d only through 1/d,
         so this single accessor makes the finite and infinite code paths
-        share one formula.
+        share one formula.  Integer true division rounds 1/d once, so a d
+        too large for a float still gives its 1/d (0.0 above about 2e323).
         """
-        return 0.0 if self.d is None else 1.0 / self.d
+        return 0.0 if self.d is None else 1 / self.d
 
     def require_finite(self, what: str = "this operation") -> int:
         if self.d is None:

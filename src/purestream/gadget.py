@@ -1,9 +1,20 @@
 """Closed-form algebra of one swap test on a pair of depolarized states.
 
-The recurrence module covers the equal-noise case used by the protocol;
-here the inputs may carry different error parameters delta_1, delta_2,
-which is what determines when a merge actually helps.  The protocol
-itself never mixes unequal inputs; this module characterizes why.
+This module is the one home of the swap-test formulas.  Two copies
+rho(delta_1), rho(delta_2) of one pure state pass the test (ancilla
+outcome 0) with probability
+
+    P = 1 - (1 - 1/d)(delta_1 + delta_2)/2 + (1/2)(1 - 1/d) delta_1 delta_2,
+
+and the kept register is rho(delta') with
+
+    delta' = ((delta_1 + delta_2)/2 + delta_1 delta_2 / d) / (2P).
+
+The protocol merges equal inputs: the recurrence module's P(delta, d) and
+Delta(delta, d) are the diagonal delta_1 = delta_2 of the same two
+unchecked functions, so the two modules agree to the bit there.  Unequal
+inputs decide when a merge helps both (``improves_both``,
+``region_boundary``).
 
 Every formula takes d as anything ``core.as_dimension`` accepts; d = inf
 is the exact limit (1/d = 0), not a large finite stand-in.
@@ -25,32 +36,42 @@ __all__ = [
 ]
 
 
+def _success_prob(lo: float, hi: float, r: float) -> float:
+    """P on a sorted pair lo <= hi at r = 1/d, with no argument check.
+
+    The sort makes the value exactly symmetric in the pair.  On the
+    diagonal (lo + hi)/2 is lo itself, so this is the recurrence's
+    1 - (1 - r) delta + (1/2)(1 - r) delta^2, operation for operation.
+    """
+    return 1.0 - (1.0 - r) * ((lo + hi) / 2.0) + 0.5 * (1.0 - r) * lo * hi
+
+
+def _output_delta(lo: float, hi: float, r: float, p: float) -> float:
+    """delta' on a sorted pair lo <= hi at r = 1/d, given p = _success_prob(lo, hi, r)."""
+    return ((lo + hi) / 2.0 + r * lo * hi) / (2.0 * p)
+
+
 def swap_success_prob(delta1: float, delta2: float, dim) -> float:
     """Probability of the keep outcome on inputs rho(delta_1), rho(delta_2).
 
     Equals ((1 + 1/d) + (1 - 1/d)(1 - delta_1)(1 - delta_2)) / 2, which is
-    always at least 1/2 and reduces to the equal-noise P(delta, d) on the
-    diagonal.
+    always at least 1/2 and is the equal-noise P(delta, d) on the diagonal.
     """
     check_closed_unit(delta1=delta1, delta2=delta2)
-    r = as_dimension(dim).inv
-    # group the symmetric factors so the result is exactly order-independent
-    overlap = (1.0 - delta1) * (1.0 - delta2)
-    return ((1.0 + r) + (1.0 - r) * overlap) / 2.0
+    lo, hi = (delta1, delta2) if delta1 <= delta2 else (delta2, delta1)
+    return _success_prob(lo, hi, as_dimension(dim).inv)
 
 
 def swap_output_delta(delta1: float, delta2: float, dim) -> float:
-    """Error parameter of the kept register after a successful swap test.
+    """Error parameter delta' of the kept register after a successful swap test.
 
-    The output is again of the form rho(delta'), with
-
-        delta' = ((delta_1 + delta_2)/2 + delta_1 delta_2 / d)
-                 / ((1 + 1/d) + (1 - 1/d)(1 - delta_1)(1 - delta_2)).
+    The output is again of the form rho(delta'); on the diagonal delta' is
+    the equal-noise Delta(delta, d).
     """
-    p = swap_success_prob(delta1, delta2, dim)  # checks the arguments first
-    num = (delta1 + delta2) / 2.0 + delta1 * delta2 * as_dimension(dim).inv
-    # 2p is the denominator to the bit: halving and doubling a value >= 1 are exact
-    return num / (2.0 * p)
+    check_closed_unit(delta1=delta1, delta2=delta2)
+    r = as_dimension(dim).inv
+    lo, hi = (delta1, delta2) if delta1 <= delta2 else (delta2, delta1)
+    return _output_delta(lo, hi, r, _success_prob(lo, hi, r))
 
 
 def improves_both(delta1: float, delta2: float, dim) -> bool:
@@ -98,10 +119,8 @@ class GadgetOutcome:
 
 def gadget_outcome(delta1: float, delta2: float, dim) -> GadgetOutcome:
     """Full repeat-until-success characterization of one merge."""
-    p = swap_success_prob(delta1, delta2, dim)
-    return GadgetOutcome(
-        success_prob=p,
-        output_delta=swap_output_delta(delta1, delta2, dim),
-        expected_copies_each=2.0 / p,
-    )
-
+    check_closed_unit(delta1=delta1, delta2=delta2)
+    r = as_dimension(dim).inv
+    lo, hi = (delta1, delta2) if delta1 <= delta2 else (delta2, delta1)
+    p = _success_prob(lo, hi, r)
+    return GadgetOutcome(p, _output_delta(lo, hi, r, p), 2.0 / p)

@@ -9,14 +9,18 @@ and conditioned on success the kept register is rho(delta') with
 
     Delta(delta, d) = (delta + delta^2/d) / (2 P(delta, d)).
 
-Iterating Delta from delta_0 gives the per-level error parameters
-delta_i of the recursive protocol and the per-level success
-probabilities p_i = P(delta_{i-1}, d).  This module provides that
-iteration (with a kappa = 1 - delta native path so that values near
-delta = 1 keep full relative precision), closed-form bounds on how many
-iterations are needed, the expected-sample-complexity formulas, the
-matching lower bound, and reference formulas for the optimal-fidelity
-and tomography-based alternatives.
+Both are the diagonal delta_1 = delta_2 of the swap-test formulas in the
+gadget module, read from there to the bit; the one second form of the
+update here is kappa_map's.
+
+Iterating Delta from delta_0 gives the per-level error parameters delta_i
+of the recursive protocol and the per-level success probabilities
+p_i = P(delta_{i-1}, d).  This module provides that iteration (with a
+kappa = 1 - delta native path so that values near delta = 1 keep full
+relative precision), closed-form bounds on how many iterations are
+needed, the expected-sample-complexity formulas, the matching lower
+bound, and reference formulas for the optimal-fidelity and
+tomography-based alternatives.
 """
 
 from __future__ import annotations
@@ -26,6 +30,7 @@ import math
 from dataclasses import dataclass
 
 from .core import Dimension, as_dimension, check_closed_unit, check_dim, check_open_unit
+from .gadget import _output_delta, _success_prob
 
 __all__ = [
     "ITERATION_CAP",
@@ -58,8 +63,7 @@ def success_prob(delta: float, dim) -> float:
     Strictly decreasing in both delta and d.
     """
     check_closed_unit(delta=delta)
-    r = as_dimension(dim).inv
-    return 1.0 - (1.0 - r) * delta + 0.5 * (1.0 - r) * delta * delta
+    return _success_prob(delta, delta, as_dimension(dim).inv)
 
 
 def delta_map(delta: float, dim) -> float:
@@ -72,7 +76,7 @@ def delta_map(delta: float, dim) -> float:
     if delta == 0.0 or delta == 1.0:
         return delta  # exact fixed points, immune to rounding
     r = as_dimension(dim).inv
-    return (delta + r * delta * delta) / (2.0 * success_prob(delta, dim))
+    return _output_delta(delta, delta, r, _success_prob(delta, delta, r))
 
 
 def kappa_map(kappa: float, dim) -> float:
@@ -86,10 +90,12 @@ def kappa_map(kappa: float, dim) -> float:
     close to 1) keeps full relative precision.
     """
     check_closed_unit(kappa=kappa)
-    r = as_dimension(dim).inv
+    return _kappa_step(kappa, as_dimension(dim).inv)
+
+
+def _kappa_step(kappa: float, r: float) -> float:
     num = (1.0 + 2.0 * r) * kappa + (1.0 - 2.0 * r) * kappa * kappa
-    den = (1.0 + r) + (1.0 - r) * kappa * kappa
-    return num / den
+    return num / ((1.0 + r) + (1.0 - r) * kappa * kappa)
 
 
 @dataclass(frozen=True)
@@ -117,24 +123,26 @@ class RecurrenceTrace:
         return 2.0 ** len(self.ps) / math.prod(self.ps)
 
 
-def _advance(delta: float, kappa: float, dim: Dimension) -> tuple[float, float]:
-    # kappa-native step whenever the current delta exceeds 1/2; the
-    # delta-form 1 - delta would lose digits exactly there.
-    if delta > 0.5:
-        kappa = kappa_map(kappa, dim)
-        delta = 1.0 - kappa
-    else:
-        delta = delta_map(delta, dim)
-        kappa = 1.0 - delta
-    return delta, kappa
+def _walk(delta0: float, r: float):
+    """(delta_i, kappa_i, p_i) for i = 0, 1, ... without end, at r = 1/d: the one loop.
 
-
-def _walk(delta0: float, dim: Dimension):
-    """(delta_i, kappa_i) for i = 0, 1, ... without end: the one loop over the recurrence."""
-    delta, kappa = delta0, 1.0 - delta0
+    p_0 = None and p_i = P(delta_{i-1}, d), read once per level from the
+    gadget's formula.  Every value stays in [0, 1], so no level re-checks
+    it, and delta = 1, the one fixed point that formula would not keep
+    exactly, is always on the kappa side.
+    """
+    delta, kappa, p = delta0, 1.0 - delta0, None
     while True:
-        yield delta, kappa
-        delta, kappa = _advance(delta, kappa, dim)
+        yield delta, kappa, p
+        p = _success_prob(delta, delta, r)
+        # kappa-native step whenever the current delta exceeds 1/2; the
+        # delta-form 1 - delta would lose digits exactly there.
+        if delta > 0.5:
+            kappa = _kappa_step(kappa, r)
+            delta = 1.0 - kappa
+        else:
+            delta = _output_delta(delta, delta, r, p)
+            kappa = 1.0 - delta
 
 
 def orbit(delta0: float, dim, n: int):
@@ -143,14 +151,11 @@ def orbit(delta0: float, dim, n: int):
     p_0 = None and p_i = P(delta_{i-1}, d).  Holds one level, not the orbit;
     delta_0 in (0, 1) and 0 <= n <= ITERATION_CAP are checked at the first level.
     """
-    dim = as_dimension(dim)
+    r = as_dimension(dim).inv
     check_open_unit(delta0=delta0)
     if not 0 <= n <= ITERATION_CAP:
         raise ValueError(f"n must lie in 0..ITERATION_CAP = {ITERATION_CAP}, got {n}")
-    p = None
-    for delta, kappa in itertools.islice(_walk(delta0, dim), n + 1):
-        yield delta, kappa, p
-        p = success_prob(delta, dim)
+    yield from itertools.islice(_walk(delta0, r), n + 1)
 
 
 def iterate(delta0: float, dim, n: int) -> RecurrenceTrace:
@@ -166,12 +171,12 @@ def iterate(delta0: float, dim, n: int) -> RecurrenceTrace:
 
 def iterations_to(delta0: float, dim, eps: float) -> int:
     """Smallest n with delta_n <= eps (0 if delta_0 already qualifies), n <= ITERATION_CAP."""
-    dim = as_dimension(dim)
+    r = as_dimension(dim).inv
     if not (0.0 < eps < delta0 < 1.0):
         if 0.0 < delta0 < 1.0 and eps >= delta0:
             return 0
         raise ValueError(f"need 0 < eps < delta0 < 1, got eps={eps} delta0={delta0}")
-    for n, (delta, _) in enumerate(itertools.islice(_walk(delta0, dim), ITERATION_CAP + 1)):
+    for n, (delta, _, _) in enumerate(itertools.islice(_walk(delta0, r), ITERATION_CAP + 1)):
         if delta <= eps:
             return n
     raise RuntimeError(

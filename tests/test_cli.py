@@ -88,6 +88,17 @@ class TestRecurrenceCommand:
     def test_bad_dimension_token(self, capsys):
         assert run_cli(["recurrence", "--d", "banana"]) == 1
 
+    def test_dimension_beyond_the_float_range(self, tmp_path):
+        # 1/d is 0.0 there, so the rows are the d = inf rows, and no
+        # overflow cuts the CSV short
+        big = str(10**400)
+        out = tmp_path / "big.csv"
+        assert run_cli(["recurrence", "--d", f"{big},inf", "--delta0", "0.5", "--iters", "2",
+                        "--out", str(out)]) == 0
+        _, _, rows = read_csv(out)
+        assert [r[0] for r in rows] == [big] * 3 + ["inf"] * 3
+        assert [r[1:] for r in rows[:3]] == [r[1:] for r in rows[3:]]
+
     def test_rows_stream_from_the_walk(self, monkeypatch):
         # the output made by the time each level is walked
         buf = io.StringIO()
@@ -259,7 +270,7 @@ class TestVerifyCommand:
         out = tmp_path / "v16.json"
         assert run_cli(["verify", "--d", "16", "--trials", "20", "--out", str(out)]) == 0
         doc = json.loads(out.read_text())
-        assert doc["meta"]["schema"] == "verify-v2"
+        assert doc["meta"]["schema"] == "verify-v3"
         rep = doc["report"]
         assert rep["pass"] is True
         assert rep["max_prob_deviation"] <= 1e-13

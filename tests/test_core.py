@@ -29,6 +29,7 @@ NEGATIVE_INF_ENTRIES = {
     "improves_both": lambda dim: gadget.improves_both(0.3, 0.5, dim),
     "region_boundary": lambda dim: gadget.region_boundary(0.3, dim),
 }
+ANALYTIC_MAPS = {name: fn for name, fn in NEGATIVE_INF_ENTRIES.items() if name != "as_dimension"}
 
 
 class TestDimension:
@@ -48,6 +49,16 @@ class TestDimension:
 
     def test_inv(self):
         assert Dimension.finite(4).inv == 0.25
+
+    def test_inv_beyond_the_float_range(self):
+        # integer true division rounds 1/d once, and never converts d to a float
+        assert Dimension.finite(10**400).inv == 0.0
+        assert Dimension.finite(2**1074).inv == 5e-324
+
+    @pytest.mark.parametrize("fn", ANALYTIC_MAPS.values(), ids=ANALYTIC_MAPS.keys())
+    def test_a_dimension_beyond_the_float_range_is_the_infinite_limit(self, fn):
+        # 1 - 1/d rounds to 1 here, so every analytic map gives its d = inf value
+        assert fn(10**309) == fn(10**400) == fn(INFINITE)
 
     def test_as_dimension_coercions(self):
         assert as_dimension(3) == Dimension.finite(3)

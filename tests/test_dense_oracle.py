@@ -278,7 +278,8 @@ class TestJointView:
             assert np.array_equal(_joint(rho, sigma), np.kron(rho, sigma).reshape(d, d, d, d))
 
     def test_verify_bytes_at_the_cap(self):
-        # the golden verify at d = MAX_DIM, recorded with the kron form
+        # the golden verify-v3 at d = MAX_DIM; the oracle's arrays are those
+        # of the kron form, as test_equals_reshaped_kron checks
         argv = ["verify", "--seed", "9", "--trials", "200", "--d", str(MAX_DIM)]
         golden = Path(__file__).resolve().parent / "golden" / "cli_sha256.json"
         want = next(c["sha256"] for c in json.loads(golden.read_text()) if c["argv"] == argv)

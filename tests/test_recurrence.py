@@ -1,4 +1,5 @@
 import math
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -150,6 +151,33 @@ class TestIterate:
         tr = iterate(1e-12, 2, 5)
         assert tr.final_delta < 1e-12
         assert all(x > 0.0 for x in tr.deltas)
+
+    def test_matches_a_loop_over_the_public_maps(self):
+        # the walk steps through the unchecked formulas with 1/d read once;
+        # a loop over the checked public maps gives the same bits
+        rng = random.Random(12)
+        for case in range(300):
+            # delta0 below 1/2, above it, and as close to 1 as 1 - 1e-12
+            delta0 = [
+                0.5 * rng.random(), 0.5 + 0.5 * rng.random(), 1.0 - 10.0 ** -rng.uniform(1, 12)
+            ][case % 3]
+            dim = rng.choice([INFINITE, rng.randint(2, 16), rng.randint(17, 10**6)])
+            n = rng.randint(0, 200)
+            tr = iterate(delta0, dim, n)
+            deltas, kappas, ps = [delta0], [1.0 - delta0], []
+            for _ in range(n):
+                delta, kappa = deltas[-1], kappas[-1]
+                ps.append(success_prob(delta, dim))
+                if delta > 0.5:
+                    kappa = kappa_map(kappa, dim)
+                    delta = 1.0 - kappa
+                else:
+                    delta = delta_map(delta, dim)
+                    kappa = 1.0 - delta
+                deltas.append(delta)
+                kappas.append(kappa)
+            for got, want in ((tr.deltas, deltas), (tr.kappas, kappas), (tr.ps, ps)):
+                assert [x.hex() for x in got] == [x.hex() for x in want], (delta0, dim, n)
 
     @pytest.mark.parametrize("n", [ITERATION_CAP + 1, 2 * 10**9])
     def test_cap_refused_before_iterating(self, n):

@@ -8,33 +8,14 @@ Subpackages:
   streaming     stochastic stack-machine simulation with resource accounting
   applications  Simon's problem with a faulty oracle; mixedness testing
   cli           seeded command-line experiment front end
+
+The names below load their home submodule on first access (PEP 562), so
+``import purestream`` imports no submodule.
 """
 
-__version__ = "0.1.0"
+import importlib
 
-from .core import (
-    INFINITE,
-    Dimension,
-    Seed,
-    as_dimension,
-    fidelity_of_output,
-)
-from .recurrence import (
-    RecurrenceTrace,
-    delta_map,
-    expected_sample_complexity,
-    iterate,
-    iterations_to,
-    kappa_map,
-    success_prob,
-)
-from .gadget import improves_both, region_boundary, swap_output_delta, swap_success_prob
-from .streaming import (
-    StreamStats,
-    monte_carlo,
-    purify_recursive,
-    purify_streaming,
-)
+__version__ = "0.1.0"
 
 __all__ = [
     "__version__",
@@ -59,3 +40,40 @@ __all__ = [
     "purify_recursive",
     "purify_streaming",
 ]
+
+# each public name's home submodule
+_HOME = {
+    "INFINITE": "core",
+    "Dimension": "core",
+    "Seed": "core",
+    "as_dimension": "core",
+    "fidelity_of_output": "core",
+    "RecurrenceTrace": "recurrence",
+    "delta_map": "recurrence",
+    "expected_sample_complexity": "recurrence",
+    "iterate": "recurrence",
+    "iterations_to": "recurrence",
+    "kappa_map": "recurrence",
+    "success_prob": "recurrence",
+    "improves_both": "gadget",
+    "region_boundary": "gadget",
+    "swap_output_delta": "gadget",
+    "swap_success_prob": "gadget",
+    "StreamStats": "streaming",
+    "monte_carlo": "streaming",
+    "purify_recursive": "streaming",
+    "purify_streaming": "streaming",
+}
+
+
+def __getattr__(name: str):
+    # not cached here, so a name patched in its home module reads patched
+    try:
+        home = _HOME[name]
+    except KeyError:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+    return getattr(importlib.import_module(f"{__name__}.{home}"), name)
+
+
+def __dir__():
+    return sorted({*globals(), *_HOME})

@@ -20,8 +20,6 @@ import os
 import sys
 
 from . import __version__
-from .core import Dimension, Seed, as_dimension
-from . import applications, gadget, recurrence, streaming
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -60,7 +58,9 @@ def _tolerance(text: str) -> float:
     return value
 
 
-def _dim_list(text: str) -> list[Dimension]:
+def _dim_list(text: str) -> list:
+    from .core import as_dimension
+
     try:
         dims = [as_dimension(tok) for tok in text.split(",") if tok.strip()]
     except ValueError as exc:
@@ -74,6 +74,9 @@ def _m_list(text: str) -> list[int]:
     ms = [int(tok) for tok in text.split(",") if tok.strip()]
     if not ms or not all(2 <= m <= MAX_SIMON_M for m in ms):
         raise argparse.ArgumentTypeError(f"must list sizes in 2..{MAX_SIMON_M}, got {text!r}")
+    if len(set(ms)) < len(ms):
+        # per_m is keyed by size, so a repeat would overwrite a result
+        raise argparse.ArgumentTypeError(f"must list each size once, got {text!r}")
     return ms
 
 
@@ -93,6 +96,8 @@ def _meta(schema: str, args, *unechoed: str) -> dict:
 
 def _echo(value):
     """A parsed argument as the meta block shows it: a Dimension as its str."""
+    from .core import Dimension
+
     if isinstance(value, list):
         return [_echo(v) for v in value]
     return str(value) if isinstance(value, Dimension) else value
@@ -142,6 +147,8 @@ def _json_doc(meta: dict, payload: dict) -> str:
 
 
 def cmd_recurrence(args) -> int:
+    from . import recurrence
+
     # rows come straight from the walk; no dimension's orbit is held
     rows = (
         (str(dm), i, delta_i, p_i)
@@ -153,6 +160,8 @@ def cmd_recurrence(args) -> int:
 
 
 def cmd_bounds(args) -> int:
+    from . import recurrence
+
     d, delta0, eps = args.d, args.delta0, args.eps
     n_direct = recurrence.iterations_to(delta0, d, eps)
     trace = recurrence.iterate(delta0, d, n_direct)
@@ -184,6 +193,8 @@ def cmd_bounds(args) -> int:
 
 
 def cmd_region(args) -> int:
+    from . import gadget
+
     if args.resolution > MAX_RESOLUTION:
         raise _UsageExit(f"--resolution must be at most {MAX_RESOLUTION}, got {args.resolution}")
     dims = args.d_list
@@ -202,6 +213,9 @@ def _region_grid(resolution: int) -> list[float]:
 
 
 def cmd_simulate(args) -> int:
+    from . import streaming
+    from .core import Seed
+
     if args.per_run not in (None, "-") and args.out != "-":
         if os.path.realpath(args.out) == os.path.realpath(args.per_run):
             raise _UsageExit(f"--out and --per-run name the same file: {args.per_run}")
@@ -238,7 +252,8 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    from . import dense_oracle
+    from . import dense_oracle, gadget
+    from .core import Seed
 
     if args.d > dense_oracle.MAX_DIM:
         raise _UsageExit(f"dense oracle is capped at d <= {dense_oracle.MAX_DIM}")
@@ -275,6 +290,9 @@ def cmd_verify(args) -> int:
 
 
 def cmd_simon(args) -> int:
+    from . import applications
+    from .core import Seed
+
     per_m = {}
     all_budget_exhausted = True
     rng_root = Seed(args.seed)
@@ -311,6 +329,9 @@ def cmd_simon(args) -> int:
 
 
 def cmd_mixedness(args) -> int:
+    from . import applications
+    from .core import Seed
+
     cases = {
         "mixed": (1.0, applications.MAXIMALLY_MIXED),
         "far": (1.0 - args.eta / 2.0, applications.FAR_FROM_MIXED),
@@ -420,7 +441,8 @@ def build_parser() -> _Parser:
     p.add_argument("--case", choices=("mixed", "far", "both"), default="both")
     p.add_argument("--trials", type=_positive_int, default=100)
     p.add_argument("--reps", type=_positive_int, default=20)
-    p.add_argument("--tau", type=float, default=applications.DEFAULT_THRESHOLD, help="in (0, 1)")
+    # applications.DEFAULT_THRESHOLD, stated here so the parser loads no layer
+    p.add_argument("--tau", type=float, default=0.875, help="in (0, 1)")
     common(p)
     p.set_defaults(func=cmd_mixedness)
 

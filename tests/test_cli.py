@@ -381,6 +381,15 @@ class TestMixednessCommand:
             main(["mixedness", "--help"])
         assert f"probability {tail:.4f}" in " ".join(capsys.readouterr().out.split())
 
+    def test_tau_default_is_the_library_threshold(self):
+        # cli states the default itself, so building the parser loads no layer
+        assert build_parser().parse_args(["mixedness"]).tau == applications.DEFAULT_THRESHOLD
+        assert recurrence.success_prob(1.0, 2) == 3 / 4
+        # --reps 20 at tau 0.875 misreads from 18 passes up
+        assert math.ceil(0.875 * 20) == 18
+        tail = sum(math.comb(20, k) * 3**k for k in range(18, 21)) / 4**20
+        assert round(tail, 4) == 0.0913
+
     def test_single_class(self, tmp_path):
         out = tmp_path / "mix2.json"
         assert run_cli(["mixedness", "--case", "far", "--trials", "10",
@@ -536,6 +545,8 @@ BAD_ARG_CASES = [
     (["simon", "--m", "0"], "argument --m: "),
     (["simon", "--m", "1"], "argument --m: "),
     (["simon", "--m", "64", "--trials", "1"], "argument --m: "),
+    # per_m is keyed by size, so a repeat would overwrite a result
+    (["simon", "--m", "2,3,2"], "argument --m: "),
     (["recurrence", "--d", ""], "argument --d: "),
     (["region", "--d-list", ""], "argument --d-list: "),
     (["verify", "--tol", "-1"], "argument --tol: "),
@@ -629,30 +640,44 @@ class TestParserReuse:
                            for argv in (self.VERIFY, self.SIMULATE)]
 
 
-# In a fresh interpreter: the import, the parser and every command that
-# needs no numpy leave it unloaded, and a golden simulate then loads it
-# on demand and still gives its golden bytes.
+# In a fresh interpreter: the import and the parser load only the cli,
+# every command that needs no numpy leaves it and the stochastic layers
+# unloaded, and a golden simulate then loads them on demand and still gives
+# its golden bytes.
 COLD_START = """
 import contextlib, hashlib, io, json, sys
-import purestream
 from purestream import cli
 
+
+def loaded():
+    # the package's modules, and those that building the parser does not need
+    names = [m for m in sys.modules if m.split(".")[0] == "purestream"]
+    return sorted(names + [m for m in ("dataclasses", "inspect", "numpy") if m in sys.modules])
+
+
 cli.build_parser()
-report = {"import + build_parser": [0, "numpy" in sys.modules]}
-argvs, golden = json.loads(sys.argv[1])
-for argv in argvs:
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+report = {"import + build_parser": [0, None, loaded()]}
+for argv in json.loads(sys.argv[1]):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
         try:
             rc = cli.main(argv)
         except SystemExit as exc:  # --help and --version exit from argparse
             rc = exc.code
-    report[" ".join(argv)] = [rc, "numpy" in sys.modules]
-buf = io.StringIO()
-with contextlib.redirect_stdout(buf):
-    rc = cli.main(golden)
-sha = hashlib.sha256(buf.getvalue().encode()).hexdigest()
-print(json.dumps({"report": report, "golden": [rc, sha, "numpy" in sys.modules]}))
+    report[" ".join(argv)] = [rc, hashlib.sha256(out.getvalue().encode()).hexdigest(), loaded()]
+print(json.dumps(report))
 """
+
+
+def cold_start(argvs):
+    """Run the argvs in turn in one fresh interpreter, after the import and the parser.
+
+    Each maps to [exit code, stdout sha256, modules loaded so far], and
+    "import + build_parser" to the modules that those two load.
+    """
+    done = run_python(["-c", COLD_START, json.dumps(argvs)], timeout=120)
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout)
 
 
 class TestColdStart:
@@ -666,12 +691,29 @@ class TestColdStart:
         ("bounds", "--d", "2"): 1,  # a usage error: --delta0 and --eps are missing
     }
 
+    # the analytic layers: every module that a NUMPY_FREE command may load
+    ANALYTIC = {
+        "purestream", "purestream.cli", "purestream.core", "purestream.gadget",
+        "purestream.recurrence", "dataclasses", "inspect",
+    }
+
     def test_numpy_loads_only_on_demand(self):
         case = next(c for c in json.loads(GOLDEN.read_text()) if c["argv"][0] == "simulate")
-        argvs = [list(argv) for argv in self.NUMPY_FREE]
-        done = run_python(["-c", COLD_START, json.dumps([argvs, case["argv"]])], timeout=120)
-        assert done.returncode == 0, done.stderr
-        result = json.loads(done.stdout)
-        want = {" ".join(argv): [rc, False] for argv, rc in self.NUMPY_FREE.items()}
-        assert result["report"] == {"import + build_parser": [0, False], **want}
-        assert result["golden"] == [0, case["sha256"], True]
+        report = cold_start([*map(list, self.NUMPY_FREE), case["argv"]])
+        assert report.pop("import + build_parser") == [0, None, ["purestream", "purestream.cli"]]
+        rc, sha, modules = report.pop(" ".join(case["argv"]))
+        assert [rc, sha] == [0, case["sha256"]] and "numpy" in modules
+        assert {argv: rc for argv, (rc, _, _) in report.items()} == {
+            " ".join(argv): rc for argv, rc in self.NUMPY_FREE.items()
+        }
+        for argv, (_, _, modules) in report.items():
+            assert set(modules) <= self.ANALYTIC, argv
+
+    def test_verify_loads_only_the_oracle_and_the_gadget(self):
+        argv = ["verify", "--d", "2", "--trials", "3"]
+        rc, _, modules = cold_start([argv])[" ".join(argv)]
+        assert rc == 0
+        assert set(modules) == {
+            "purestream", "purestream.cli", "purestream.core", "purestream.dense_oracle",
+            "purestream.gadget", "dataclasses", "inspect", "numpy",
+        }

@@ -4,12 +4,21 @@ A name in a src/ module's ``__all__`` must be read somewhere else in src/,
 in its own module beyond its definition, in demos/ or bench/, or be
 re-exported in ``purestream.__all__``.  Code that only tests read belongs
 in tests/ (tests/lemmas.py), so this guard keeps it from creeping back.
+
+The package's own names load their home submodule on first access; the
+last tests pin that lazy surface.
 """
 
 import ast
+import importlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
+
+import purestream
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "purestream"
@@ -67,3 +76,33 @@ def test_a_name_only_tests_read_is_caught():
     other = ast.parse("from m import kept\nkept()\n")
     assert unread(module, [other], []) == ["lemma"]
     assert unread(module, [other], ["lemma"]) == []
+
+
+def test_every_exported_name_is_its_home_modules_object():
+    names = [name for name in purestream.__all__ if name != "__version__"]
+    assert sorted(purestream._HOME) == sorted(names)
+    for name in names:
+        home = importlib.import_module(f"purestream.{purestream._HOME[name]}")
+        assert getattr(purestream, name) is getattr(home, name), name
+
+
+def test_star_import_binds_every_name():
+    namespace = {}
+    exec("from purestream import *", namespace)
+    assert set(purestream.__all__) <= set(namespace)
+
+
+def test_unknown_name_is_an_attribute_error_that_names_it():
+    with pytest.raises(AttributeError, match="'no_such_name'"):
+        purestream.no_such_name
+
+
+def test_import_loads_no_submodule():
+    code = "import sys, purestream; print(sorted(m for m in sys.modules if 'purestream' in m))"
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "['purestream']\n"

@@ -276,7 +276,7 @@ def cmd_verify(args) -> int:
         worst_prob = max(worst_prob, float(dp))
         worst_state = max(worst_state, float(ds))
     ok = bool(worst_prob <= tol and worst_state <= tol)
-    meta = _meta("verify-v3", args, "jobs")
+    meta = _meta("verify-v4", args, "jobs")
     payload = {
         "report": {
             "max_prob_deviation": worst_prob,

@@ -2,16 +2,16 @@
 
 Independent of every parametric formula in this package: states are
 explicit d x d matrices, the swap test is the pair of projectors
-P = (I +- S)/2 applied to J = rho (x) sigma, and outputs come from a
-partial trace.  Wherever the gadget module claims a closed form, this
-module can check it by direct linear algebra.
+P = (I +- S)/2 applied to rho (x) sigma, and outputs come from a partial
+trace.  Wherever the gadget module claims a closed form, this module can
+check it by direct linear algebra.
 
-S is a permutation of the joint indices, so the projected state
-P J P = (J + SJS +- (SJ + JS))/4 is never formed: each term's
-second-register partial trace is one index contraction of J viewed as a
-(d, d, d, d) array.  Memory is the d^4 entries of J, one array: J is a
-transposed view of the outer product of rho and sigma, which one
-contiguous pass fills.  Each contraction costs O(d^3).  Capped at d <= 16.
+The kept register of each branch follows from the identity
+Tr_2[P (rho (x) sigma) P] = (rho + sigma +- (rho sigma + sigma rho))/4,
+which holds for any pair of unit-trace matrices, so neither S nor the
+d^4 entries of the joint state are ever formed.  For Hermitian inputs
+sigma rho = (rho sigma)^H, so one swap test is one O(d^3) matmul, and its
+memory is a few d x d matrices.  Capped at d <= 16.
 """
 
 from __future__ import annotations
@@ -39,6 +39,7 @@ _TRACE_TOL = 1e-12
 _PSD_TOL = 1e-12
 _BRANCH_EPS = 1e-12  # outcome branches lighter than this are not normalized
 _CROSS_CHECK_TOL = 1e-12
+_NORM_TOL = 1e-10
 
 
 def random_pure_state(d: int, seed) -> np.ndarray:
@@ -50,10 +51,17 @@ def random_pure_state(d: int, seed) -> np.ndarray:
 
 
 def make_depolarized(psi: np.ndarray, delta: float) -> np.ndarray:
-    """Density matrix (1 - delta)|psi><psi| + delta I/d."""
+    """Density matrix (1 - delta)|psi><psi| + delta I/d of a finite unit d-vector psi, d >= 2."""
     check_closed_unit(delta=delta)
     psi = np.asarray(psi, dtype=complex)
+    if psi.ndim != 1:
+        raise ValueError(f"psi must be a 1-D vector, got shape {psi.shape}")
     d = psi.shape[0]
+    check_dim(d)
+    if not np.isfinite(psi).all():
+        raise ValueError("psi has a non-finite entry")
+    if abs(np.linalg.norm(psi) - 1.0) > _NORM_TOL:
+        raise ValueError("psi must have unit norm")
     return (1.0 - delta) * np.outer(psi, psi.conj()) + delta * np.eye(d) / d
 
 
@@ -62,9 +70,10 @@ def validate_density_matrix(rho: np.ndarray, name: str = "state") -> int:
     rho = np.asarray(rho)
     if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
         raise ValueError(f"{name} must be a square matrix")
+    d = rho.shape[0]
+    check_dim(d)
     if not np.isfinite(rho).all():
         raise ValueError(f"{name} has a non-finite entry")
-    d = rho.shape[0]
     if np.abs(rho - rho.conj().T).max() > _HERMITIAN_TOL:
         raise ValueError(f"{name} is not Hermitian")
     if abs(np.trace(rho).real - 1.0) > _TRACE_TOL or abs(np.trace(rho).imag) > _TRACE_TOL:
@@ -78,7 +87,7 @@ def validate_density_matrix(rho: np.ndarray, name: str = "state") -> int:
 class SwapTestResult:
     """Both outcome branches of one swap test.
 
-    p0/p1 are computed as traces of the projected joint state; omega0 and
+    p0/p1 are the traces of each branch's reduced state; omega0 and
     omega1 are the normalized kept registers (None when the branch weight
     is below 1e-12 and normalizing would be meaningless).
     """
@@ -90,12 +99,12 @@ class SwapTestResult:
 
 
 def swap_test_apply(rho: np.ndarray, sigma: np.ndarray) -> SwapTestResult:
-    """Apply the swap test to rho (x) sigma by explicit projection.
+    """Apply the swap test to rho (x) sigma; return both outcome branches.
 
     The keep probability is computed twice, as (1 + Tr(rho sigma))/2 and
-    as the trace of the symmetric projection of the joint state; a
-    disagreement beyond 1e-12 raises, since it would mean the dense
-    algebra itself is inconsistent.
+    as the trace of the kept branch's reduced state; a disagreement
+    beyond 1e-12 raises, since it would mean the dense algebra itself is
+    inconsistent.
     """
     rho = np.asarray(rho, dtype=complex)
     sigma = np.asarray(sigma, dtype=complex)
@@ -106,18 +115,17 @@ def swap_test_apply(rho: np.ndarray, sigma: np.ndarray) -> SwapTestResult:
     if d > MAX_DIM:
         raise ValueError(f"dense oracle is capped at d <= {MAX_DIM}, got {d}")
 
-    p0_formula = (1.0 + np.trace(rho @ sigma).real) / 2.0
+    rs = rho @ sigma
+    p0_formula = (1.0 + np.trace(rs).real) / 2.0
 
-    # (SJ)[i,j,k,l] = J[j,i,k,l] and (JS)[i,j,k,l] = J[i,j,l,k], so each
-    # term's partial trace over the second register is a single contraction
-    joint = _joint(rho, sigma)
-    direct = np.einsum("ijkj->ik", joint) + np.einsum("jijk->ik", joint)  # J + SJS
-    cross = np.einsum("jikj->ik", joint) + np.einsum("ijjk->ik", joint)  # SJ + JS
+    # the partial traces of (J + SJS) and (SJ + JS), J = rho (x) sigma
+    direct = rho + sigma
+    cross = rs + rs.conj().T  # sigma rho = (rho sigma)^H
     branches = []
     probs = []
     for sign in (+1.0, -1.0):
         reduced = (direct + sign * cross) / 4.0
-        p = np.trace(reduced).real
+        p = float(np.trace(reduced).real)
         probs.append(p)
         if p > _BRANCH_EPS:
             branches.append(reduced / p)
@@ -132,17 +140,14 @@ def swap_test_apply(rho: np.ndarray, sigma: np.ndarray) -> SwapTestResult:
     return SwapTestResult(p0=p0, p1=p1, omega0=branches[0], omega1=branches[1])
 
 
-def _joint(rho: np.ndarray, sigma: np.ndarray) -> np.ndarray:
-    """J = rho (x) sigma as the (d, d, d, d) view J[i, j, k, l] = rho[i, k] sigma[j, l]."""
-    return np.multiply.outer(rho, sigma).transpose(0, 2, 1, 3)
-
-
 def trace_distance(a: np.ndarray, b: np.ndarray) -> float:
     """Half the sum of absolute eigenvalues of the Hermitian difference."""
     a = np.asarray(a, dtype=complex)
     b = np.asarray(b, dtype=complex)
     if a.shape != b.shape:
         raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise ValueError(f"trace_distance needs square matrices, got shape {a.shape}")
     if not (np.isfinite(a).all() and np.isfinite(b).all()):
         raise ValueError("trace_distance needs finite matrices")
     return 0.5 * np.abs(np.linalg.eigvalsh(a - b)).sum()

@@ -270,7 +270,7 @@ class TestVerifyCommand:
         out = tmp_path / "v16.json"
         assert run_cli(["verify", "--d", "16", "--trials", "20", "--out", str(out)]) == 0
         doc = json.loads(out.read_text())
-        assert doc["meta"]["schema"] == "verify-v3"
+        assert doc["meta"]["schema"] == "verify-v4"
         rep = doc["report"]
         assert rep["pass"] is True
         assert rep["max_prob_deviation"] <= 1e-13

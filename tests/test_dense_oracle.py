@@ -11,7 +11,6 @@ from purestream import cli
 from purestream.core import Seed
 from purestream.dense_oracle import (
     MAX_DIM,
-    _joint,
     make_depolarized,
     random_pure_state,
     swap_test_apply,
@@ -35,7 +34,7 @@ def reference_swap_test(rho, sigma):
 
     Returns [(p0, omega0), (p1, omega1)], with the same 1e-12 branch
     cutoff as swap_test_apply.  O(d^6) dense matmuls; a test-only
-    reference for the index-contraction form.
+    reference for the matrix form.
     """
     d = rho.shape[0]
     joint = np.kron(rho, sigma)
@@ -48,6 +47,32 @@ def reference_swap_test(rho, sigma):
         p = np.trace(sub).real
         omega = np.einsum("ijkj->ik", sub.reshape(d, d, d, d)) / p if p > 1e-12 else None
         branches.append((p, omega))
+    return branches
+
+
+def _joint(rho, sigma):
+    """J = rho (x) sigma as the (d, d, d, d) view J[i, j, k, l] = rho[i, k] sigma[j, l]."""
+    return np.multiply.outer(rho, sigma).transpose(0, 2, 1, 3)
+
+
+def einsum_swap_test(rho, sigma):
+    """The swap test by index contractions of the joint state J = rho (x) sigma.
+
+    S permutes the joint indices: (SJ)[i,j,k,l] = J[j,i,k,l] and
+    (JS)[i,j,k,l] = J[i,j,l,k].  So P J P = (J + SJS +- (SJ + JS))/4 is
+    never formed, and each term's second-register partial trace is one
+    contraction of J.  Returns [(p0, omega0), (p1, omega1)] like
+    reference_swap_test.  O(d^4) memory; a test-only reference for the
+    matrix form, which it preceded in the oracle.
+    """
+    joint = _joint(rho, sigma)
+    direct = np.einsum("ijkj->ik", joint) + np.einsum("jijk->ik", joint)  # J + SJS
+    cross = np.einsum("jikj->ik", joint) + np.einsum("ijjk->ik", joint)  # SJ + JS
+    branches = []
+    for sign in (+1.0, -1.0):
+        reduced = (direct + sign * cross) / 4.0
+        p = np.trace(reduced).real
+        branches.append((p, reduced / p if p > 1e-12 else None))
     return branches
 
 
@@ -101,6 +126,21 @@ class TestMakeDepolarized:
     def test_valid_density_matrix(self):
         psi = random_pure_state(6, Seed(4))
         assert validate_density_matrix(make_depolarized(psi, 0.7)) == 6
+
+    @pytest.mark.parametrize(
+        "psi, match",
+        [
+            (np.zeros(3), "^psi must have unit norm"),  # once a trace-0.5 matrix
+            (np.array([2.0, 0.0]), "^psi must have unit norm"),
+            (np.eye(2) / np.sqrt(2), "^psi must be a 1-D vector"),  # once a broadcast error
+            (np.array([np.nan, 1.0]), "^psi has a non-finite entry"),
+            (np.array([1.0]), "^d must be >= 2"),
+        ],
+        ids=["zero", "norm-2", "2-D", "nan", "d=1"],
+    )
+    def test_non_state_psi_rejected(self, psi, match):
+        with pytest.raises(ValueError, match=match):
+            make_depolarized(psi, 0.5)
 
 
 class TestSwapOperator:
@@ -181,6 +221,32 @@ class TestSwapTestApply:
         with pytest.raises(ValueError):
             swap_test_apply(big, big)
 
+    def test_one_dimensional_states_rejected(self):
+        # d = 1 once gave p0 = 1, though check_dim refuses it everywhere else
+        with pytest.raises(ValueError, match="^d must be >= 2, got 1"):
+            swap_test_apply(np.eye(1), np.eye(1))
+
+    def test_empty_matrix_rejected(self):
+        # once numpy's "zero-size array to reduction operation maximum"
+        with pytest.raises(ValueError, match="^d must be >= 2, got 0"):
+            validate_density_matrix(np.zeros((0, 0)))
+
+    def test_probabilities_are_plain_floats(self):
+        res = swap_test_apply(np.eye(3) / 3, np.eye(3) / 3)
+        assert type(res.p0) is float and type(res.p1) is float
+
+    @pytest.mark.parametrize("d", [2, 3, 7, MAX_DIM])
+    def test_equal_inputs_closed_form(self, d):
+        # rho = sigma: p0 = (1 + Tr rho^2)/2, omega0 = (rho + rho^2)/(1 + Tr rho^2)
+        rng = Seed(90 + d).generator()
+        for rank in (1, max(d // 2, 1), d):
+            rho = _wishart_state(d, rank, rng)
+            rho2 = rho @ rho
+            purity = np.trace(rho2).real
+            res = swap_test_apply(rho, rho)
+            assert abs(res.p0 - (1 + purity) / 2) <= 1e-12
+            assert np.abs(res.omega0 - (rho + rho2) / (1 + purity)).max() <= 1e-12
+
     def test_matches_parametric_formulas(self):
         rng = Seed(30).generator()
         for d in (2, 3, 5):
@@ -230,44 +296,56 @@ class TestSwapTestApply:
         assert trace_distance(res.omega0, back) <= 1e-10
 
 
+def _pairs(d, rng):
+    """Non-commuting pairs that share no psi: Wishart states of several ranks, pure states."""
+    low = d // 2
+    yield _wishart_state(d, d, rng), _wishart_state(d, d, rng)
+    yield _wishart_state(d, low, rng), _wishart_state(d, d, rng)
+    yield _wishart_state(d, low, rng), _wishart_state(d, 1, rng)
+    yield _pure_state(d, rng), _pure_state(d, rng)
+    yield _pure_state(d, rng), _wishart_state(d, d, rng)
+
+
+def _assert_matches(rho, sigma, reference):
+    assert np.abs(rho @ sigma - sigma @ rho).max() > 1e-6  # non-commuting
+    res = swap_test_apply(rho, sigma)
+    got = [(res.p0, res.omega0), (res.p1, res.omega1)]
+    for (p, omega), (p_ref, omega_ref) in zip(got, reference(rho, sigma)):
+        assert abs(p - p_ref) <= 1e-12
+        assert (omega is None) == (omega_ref is None)
+        if omega is not None:
+            assert np.abs(omega - omega_ref).max() <= 1e-12
+
+
 class TestAgainstExplicitSwapOperator:
-    """Differential test on non-commuting pairs that share no psi."""
-
-    @staticmethod
-    def _pairs(d, rng):
-        low = d // 2
-        yield _wishart_state(d, d, rng), _wishart_state(d, d, rng)
-        yield _wishart_state(d, low, rng), _wishart_state(d, d, rng)
-        yield _wishart_state(d, low, rng), _wishart_state(d, 1, rng)
-        yield _pure_state(d, rng), _pure_state(d, rng)
-        yield _pure_state(d, rng), _wishart_state(d, d, rng)
-
-    @staticmethod
-    def _assert_matches(rho, sigma):
-        assert np.abs(rho @ sigma - sigma @ rho).max() > 1e-6  # non-commuting
-        res = swap_test_apply(rho, sigma)
-        got = [(res.p0, res.omega0), (res.p1, res.omega1)]
-        for (p, omega), (p_ref, omega_ref) in zip(got, reference_swap_test(rho, sigma)):
-            assert abs(p - p_ref) <= 1e-12
-            assert (omega is None) == (omega_ref is None)
-            if omega is not None:
-                assert np.abs(omega - omega_ref).max() <= 1e-12
+    """Differential test against the projectors (I +- S)/2 built as matrices."""
 
     @pytest.mark.parametrize("d", range(2, 9))
     def test_small_dimensions(self, d):
         rng = Seed(50 + d).generator()
         for _ in range(4):
-            for rho, sigma in self._pairs(d, rng):
-                self._assert_matches(rho, sigma)
+            for rho, sigma in _pairs(d, rng):
+                _assert_matches(rho, sigma, reference_swap_test)
 
     def test_dimension_cap(self):
         rng = Seed(66).generator()
-        for rho, sigma in self._pairs(MAX_DIM, rng):
-            self._assert_matches(rho, sigma)
+        for rho, sigma in _pairs(MAX_DIM, rng):
+            _assert_matches(rho, sigma, reference_swap_test)
+
+
+class TestAgainstEinsumJoint:
+    """Differential test against the index contractions of the d^4 joint state."""
+
+    @pytest.mark.parametrize("d", range(2, MAX_DIM + 1))
+    def test_every_dimension(self, d):
+        rng = Seed(100 + d).generator()
+        for _ in range(2):
+            for rho, sigma in _pairs(d, rng):
+                _assert_matches(rho, sigma, einsum_swap_test)
 
 
 class TestJointView:
-    """J as the outer-product view, against the Kronecker product it replaces."""
+    """J as the outer-product view, against the Kronecker product it stands for."""
 
     @pytest.mark.parametrize("d", range(2, MAX_DIM + 1))
     def test_equals_reshaped_kron(self, d):
@@ -278,8 +356,7 @@ class TestJointView:
             assert np.array_equal(_joint(rho, sigma), np.kron(rho, sigma).reshape(d, d, d, d))
 
     def test_verify_bytes_at_the_cap(self):
-        # the golden verify-v3 at d = MAX_DIM; the oracle's arrays are those
-        # of the kron form, as test_equals_reshaped_kron checks
+        # the golden verify-v4 at d = MAX_DIM, from the oracle's matrix form
         argv = ["verify", "--seed", "9", "--trials", "200", "--d", str(MAX_DIM)]
         golden = Path(__file__).resolve().parent / "golden" / "cli_sha256.json"
         want = next(c["sha256"] for c in json.loads(golden.read_text()) if c["argv"] == argv)
@@ -308,6 +385,12 @@ class TestTraceDistance:
     def test_mismatch_rejected(self):
         with pytest.raises(ValueError):
             trace_distance(np.eye(2), np.eye(3))
+
+    def test_non_square_rejected(self):
+        # equal-shape non-square arrays once leaked numpy's LinAlgError
+        a = np.ones((2, 3))
+        with pytest.raises(ValueError, match="^trace_distance needs square matrices"):
+            trace_distance(a, a)
 
     def test_non_finite_rejected(self):
         # a NaN diagonal entry once read as distance 0.0 from I/2

@@ -1,11 +1,13 @@
 #!/usr/bin/env python3
 """Brute-force validation of every closed-form swap-test formula.
 
-The parametric layer never touches amplitudes, so this script rebuilds
-everything the hard way: explicit density matrices, their d^4-entry joint
-state, its symmetric- and antisymmetric-subspace projections (the swap
-operator applied as an index permutation), partial traces.  The two
-descriptions must agree to near machine precision.
+The parametric layer never touches amplitudes, so this script checks it
+against explicit density matrices.  Each swap test projects rho (x) sigma
+onto the symmetric and antisymmetric subspaces and keeps one register;
+that kept state is (rho + sigma +- (rho sigma + sigma rho)) / 4, so the
+oracle computes it from a single d x d matmul rho @ sigma (sigma rho is
+its conjugate transpose).  The two descriptions must agree to near
+machine precision.
 """
 
 from purestream.core import Seed

@@ -5,12 +5,15 @@ The protocol holds at most n+1 partially purified states: inputs arrive
 one pair at a time, equal-purity neighbours merge on a successful swap
 test, and a failure throws both away (triggering a cascade of fresh
 fetches).  The expected number of raw copies is exactly
-2^n / prod_i p_i; the Monte Carlo mean must land on it.
+2^n / prod_i p_i; the Monte Carlo mean must land on it.  A run measures
+only copies, swap tests and memory: its output error is the recurrence's
+delta_n, and its gate count follows from its swap tests.
 """
 
 import itertools
 
-from purestream import Seed, purify_streaming, monte_carlo
+from purestream import Seed, iterate, monte_carlo, purify_streaming
+from purestream.recurrence import gate_count_estimate
 
 # a single run, step by step
 st = purify_streaming(0.3, 2, 5, Seed(1))
@@ -18,8 +21,9 @@ print("one seeded run of a 5-level qubit purifier starting at delta = 0.3:")
 print(f"  copies consumed : {st.copies_consumed}")
 print(f"  swap attempts   : {st.swap_attempts}")
 print(f"  peak memory     : {st.max_stack_depth} qudits (bound: 6)")
-print(f"  output error    : {st.final_delta:.5f}")
-print(f"  gate count      : {st.gate_count}  (4 gates per qubit swap test)")
+print(f"  output error    : {iterate(0.3, 2, 5).final_delta:.5f}")
+gates = gate_count_estimate(st.swap_attempts, 2)
+print(f"  gate count      : {gates}  (4 gates per qubit swap test)")
 
 # the failure-free baseline is the full binary tree: 2^n leaves
 ideal = purify_streaming(0.3, 2, 5, itertools.repeat(0.0))

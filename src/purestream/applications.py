@@ -6,8 +6,8 @@ depolarized pure state in dimension 2^(2m).  Purifying batches of
 queries down to a small residual error makes the measured strings y
 almost always satisfy y . s = 0, so plain GF(2) reconstruction works and
 the hard "learning with errors" decoding never arises.  The purifier
-depends only on (delta, d, eps), so one machine is built per size and
-shared by every trial and sample.
+depends only on (delta, d, eps), so one machine and its output error
+delta_n are built per size and shared by every trial and sample.
 
 Mixedness testing: under the promise that the stream is either
 maximally mixed or a depolarized pure state at least eta-far from I/d,
@@ -111,27 +111,30 @@ def _insert(v: int, pivots: dict[int, int]):
 
 
 @functools.cache
-def _purifier(delta: float, d: int, eps_target: float) -> StackMachine:
-    """The per-sample purifier, from oracle error delta to below eps_target.
+def _purifier(delta: float, d: int, eps_target: float) -> tuple[StackMachine, float]:
+    """The per-sample purifier, from oracle error delta to below eps_target, and its delta_n.
 
     It depends on (delta, d, eps_target) alone, so every trial of a size shares it.
     """
     if not (0.0 < eps_target < delta):
-        raise ValueError("eps_target must lie in (0, oracle_delta)")
+        raise ValueError(f"eps_target must lie in (0, oracle_delta = {delta}), got {eps_target}")
     trace = protocol_trace(delta, d, iterations_to(delta, Dimension.finite(d), eps_target))
-    return StackMachine(d, trace.deltas, trace.ps)
+    return StackMachine(trace.ps), trace.final_delta
 
 
-def _purified_y(instance: SimonInstance, machine: StackMachine, rng) -> tuple[int, int]:
+def _purified_y(
+    instance: SimonInstance, machine: StackMachine, final_delta: float, rng
+) -> tuple[int, int]:
     """One purified measurement outcome y and the oracle queries it used.
 
     Runs the purifier (one oracle query per raw copy) and then measures the
-    purified state's first register: the depolarized branch gives y uniform
-    on {0,1}^m, the surviving ideal branch y uniform on s-perp, since
-    flipping the lowest set bit of s maps y.s = 1 onto it.
+    purified state, depolarized with probability final_delta, in its first
+    register: the depolarized branch gives y uniform on {0,1}^m, the
+    surviving ideal branch y uniform on s-perp, since flipping the lowest
+    set bit of s maps y.s = 1 onto it.
     """
     stats = machine.run(seeded_draws(rng))
-    depolarized = rng.random() < stats.final_delta
+    depolarized = rng.random() < final_delta
     y = int(rng.integers(0, 1 << instance.m))
     if not depolarized and _parity(y & instance.s_mask):
         y ^= instance.s_mask & -instance.s_mask
@@ -140,8 +143,8 @@ def _purified_y(instance: SimonInstance, machine: StackMachine, rng) -> tuple[in
 
 def sample_purified_y(instance: SimonInstance, eps_target: float, rng) -> tuple[str, int]:
     """One purified Simon sample: (y bit-string, oracle queries used)."""
-    machine = _purifier(instance.oracle_delta, instance.oracle_dim, eps_target)
-    y, queries = _purified_y(instance, machine, as_generator(rng))
+    machine, final_delta = _purifier(instance.oracle_delta, instance.oracle_dim, eps_target)
+    y, queries = _purified_y(instance, machine, final_delta, as_generator(rng))
     return _mask_to_bits(y, instance.m), queries
 
 
@@ -164,7 +167,7 @@ def solve_simon(
     if budget < 1:
         raise ValueError("budget must be >= 1")
     rng = as_generator(rng)
-    machine = _purifier(instance.oracle_delta, instance.oracle_dim, eps_target)
+    machine, final_delta = _purifier(instance.oracle_delta, instance.oracle_dim, eps_target)
     m = instance.m
 
     queries = 0
@@ -173,7 +176,7 @@ def solve_simon(
 
     def draw():
         nonlocal queries, samples
-        y, q = _purified_y(instance, machine, rng)
+        y, q = _purified_y(instance, machine, final_delta, rng)
         queries += q
         samples += 1
         return y

@@ -24,8 +24,8 @@ from collections.abc import Iterator
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .core import Dimension, as_generator, as_seed, check_closed_unit, check_dim, check_open_unit
-from .recurrence import RecurrenceTrace, gate_count_estimate, iterate
+from .core import Dimension, as_generator, as_seed, check_dim, check_open_unit
+from .recurrence import RecurrenceTrace, iterate
 
 if TYPE_CHECKING:
     import numpy as np
@@ -100,17 +100,16 @@ class InvariantViolation(RuntimeError):
 
 @dataclass(frozen=True)
 class StreamStats:
-    """Resource accounting for one protocol run.
+    """What one protocol run measured.
 
     copies_consumed counts stream fetches (pairs for n >= 1, one raw
-    copy for n = 0); gate_count is derived from the swap-test count.
+    copy for n = 0).  The output's delta_n is the recurrence trace's, and
+    the gate count is recurrence.gate_count_estimate(swap_attempts, d).
     """
 
     copies_consumed: int
     swap_attempts: int
     max_stack_depth: int
-    final_delta: float
-    gate_count: int
 
 
 def seeded_draws(rng: np.random.Generator) -> Iterator[float]:
@@ -147,29 +146,22 @@ class StackMachine:
     run has held all n + 1, so its max_stack_depth is n + 1.  A run counts
     only per-level attempts and successes, from which copies
     (2 * level_attempts[0]) and total attempts derive; _check_balance
-    checks them at the end of every run.  A machine holds only its tables,
-    checked once when it is built (each p_i in (0, 1], each delta_i in
-    [0, 1]), so one serves many runs; each run leaves its own
+    checks them at the end of every run.  A machine holds only its n
+    success probabilities, each checked once to lie in (0, 1] when it is
+    built, so one serves many runs; each run leaves its own
     level_attempts and level_successes lists on it.
     """
 
-    def __init__(self, d: int, delta_table, p_of_level):
-        check_dim(d)
-        self.d = d
-        self.delta_table = [float(x) for x in delta_table]
+    def __init__(self, p_of_level):
         self.p_of_level = [float(p) for p in p_of_level]
-        self.n = len(self.delta_table) - 1
-        if len(self.p_of_level) != self.n:
-            raise ValueError("need one success probability per level transition")
-        check_closed_unit(**{f"delta_table[{i}]": x for i, x in enumerate(self.delta_table)})
+        self.n = len(self.p_of_level)
         for i, p in enumerate(self.p_of_level):
             if not 0.0 < p <= 1.0:  # p = 0 would never end a run, and NaN fails too
                 raise ValueError(f"p_of_level[{i}] must lie in (0, 1], got {p}")
 
     @classmethod
     def for_protocol(cls, delta0: float, d: int, n: int):
-        trace = protocol_trace(delta0, d, n)
-        return cls(d, trace.deltas, trace.ps)
+        return cls(protocol_trace(delta0, d, n).ps)
 
     def run(self, draws) -> StreamStats:
         """One run on an iterator of uniform draws (RuntimeError if it runs out)."""
@@ -180,7 +172,7 @@ class StackMachine:
         self.level_successes = level_successes = [0] * max(n, 1)
         if n == 0:
             # Degenerate protocol: hand back one raw copy untouched.
-            return StreamStats(1, 0, 1, self.delta_table[0], 0)
+            return StreamStats(1, 0, 1)
 
         p_of_level = self.p_of_level
         p0 = p_of_level[0]
@@ -211,13 +203,10 @@ class StackMachine:
         level_attempts[0] = pairs
 
         _check_balance(level_attempts, level_successes, held)
-        attempts = sum(level_attempts)
         return StreamStats(
             copies_consumed=2 * level_attempts[0],
-            swap_attempts=attempts,
+            swap_attempts=sum(level_attempts),
             max_stack_depth=n + 1,
-            final_delta=self.delta_table[n],
-            gate_count=gate_count_estimate(attempts, self.d),
         )
 
 
@@ -252,8 +241,7 @@ def purify_recursive(delta0: float, d: int, n: int, seed) -> StreamStats:
     n deep, and the copy cap keeps n below 30.  Its max_stack_depth counts
     the states it held; finite draws that run out raise RuntimeError.
     """
-    trace = protocol_trace(delta0, d, n)
-    p_of_level = trace.ps
+    p_of_level = protocol_trace(delta0, d, n).ps
     draw = as_draws(seed).__next__
 
     copies = 0
@@ -284,13 +272,7 @@ def purify_recursive(delta0: float, d: int, n: int, seed) -> StreamStats:
         raise RuntimeError("the draws ran out before the run ended") from None
     if max_held > n + 1:
         raise InvariantViolation(f"held {max_held} states, bound is n+1 = {n + 1}")
-    return StreamStats(
-        copies_consumed=copies,
-        swap_attempts=attempts,
-        max_stack_depth=max_held,
-        final_delta=trace.final_delta,
-        gate_count=gate_count_estimate(attempts, d),
-    )
+    return StreamStats(copies_consumed=copies, swap_attempts=attempts, max_stack_depth=max_held)
 
 
 @dataclass(frozen=True)
@@ -361,7 +343,7 @@ def monte_carlo(
     trace = protocol_trace(delta0, d, n, runs)
     if n < 1:
         raise ValueError("monte_carlo requires n >= 1")
-    machine = StackMachine(d, trace.deltas, trace.ps)  # one for every run
+    machine = StackMachine(trace.ps)  # one for every run
     task = functools.partial(_mc_stream, machine, as_seed(seed), runs)
 
     streams = range(-(-runs // RUNS_PER_STREAM))

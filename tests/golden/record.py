@@ -78,8 +78,7 @@ CLI_CASES = [
 def machine_record(machine: StackMachine, outcomes) -> dict:
     st = machine.run(outcomes)
     return {
-        "stats": [st.copies_consumed, st.swap_attempts, st.max_stack_depth,
-                  st.final_delta, st.gate_count],
+        "stats": [st.copies_consumed, st.swap_attempts, st.max_stack_depth],
         "level_attempts": list(machine.level_attempts),
         "level_successes": list(machine.level_successes),
         "first_top_success": machine.level_attempts[-1] == 1,

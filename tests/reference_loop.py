@@ -8,12 +8,11 @@ position in a shared draws iterator.
 
 from __future__ import annotations
 
-from purestream.recurrence import gate_count_estimate
 from purestream.streaming import StackMachine, StreamStats, _check_balance
 
 
 def reference_run(machine: StackMachine, draws):
-    """One run on `machine`'s tables.
+    """One run on `machine`'s success probabilities.
 
     Returns (stats, level_attempts, level_successes, first_top_success).
     """
@@ -22,7 +21,7 @@ def reference_run(machine: StackMachine, draws):
     level_attempts = [0] * max(n, 1)
     level_successes = [0] * max(n, 1)
     if n == 0:
-        stats = StreamStats(1, 0, 1, machine.delta_table[0], 0)
+        stats = StreamStats(1, 0, 1)
         return stats, level_attempts, level_successes, None
 
     p_of_level = machine.p_of_level
@@ -41,12 +40,9 @@ def reference_run(machine: StackMachine, draws):
             held[lev] = False
 
     _check_balance(level_attempts, level_successes, held)
-    attempts = sum(level_attempts)
     stats = StreamStats(
         copies_consumed=2 * level_attempts[0],
-        swap_attempts=attempts,
+        swap_attempts=sum(level_attempts),
         max_stack_depth=n + 1,
-        final_delta=machine.delta_table[n],
-        gate_count=gate_count_estimate(attempts, machine.d),
     )
     return stats, level_attempts, level_successes, level_attempts[n - 1] == 1

@@ -232,7 +232,7 @@ def test_criterion_08_memory_bound_and_invariants(mc_summaries, simon_battery):
             p1 = success_prob(1.0, Dimension.finite(d))
             for i in range(300):
                 outcomes = seeded_draws(Seed(809, i).generator())
-                st = StackMachine(d, [1.0] * 5, [p1] * 4).run(outcomes)
+                st = StackMachine([p1] * 4).run(outcomes)
                 assert st.max_stack_depth == 5
         info["detail"] = "depth == n+1 in every run; per-run balance check never tripped"
 

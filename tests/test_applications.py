@@ -95,12 +95,12 @@ class TestSampleDistribution:
         # m = 3, 10^4 draws, alpha = 0.01, from a purifier whose final
         # delta is 0, so the sample is never depolarized
         inst = SimonInstance(3, "101", 0.5)
-        machine = StackMachine(inst.oracle_dim, [0.5, 0.0], [1.0])
+        machine = StackMachine([1.0])
         rng = Seed(50).generator()
         counts = {}
         n = 10**4
         for _ in range(n):
-            y, _ = apps._purified_y(inst, machine, rng)
+            y, _ = apps._purified_y(inst, machine, 0.0, rng)
             counts[y] = counts.get(y, 0) + 1
         s_perp = [y for y in range(8) if bin(y & 0b101).count("1") % 2 == 0]
         assert sorted(counts) == s_perp
@@ -134,12 +134,12 @@ class TestSampleDistribution:
         inst = SimonInstance(2, "11", 0.5)
         eps = 0.05
         rng = Seed(51).generator()
-        machine = apps._purifier(inst.oracle_delta, inst.oracle_dim, eps)
-        assert machine.delta_table[-1] <= eps
+        machine, final_delta = apps._purifier(inst.oracle_delta, inst.oracle_dim, eps)
+        assert final_delta <= eps
         bad = 0
         n = 10**4
         for _ in range(n):
-            y, _ = apps._purified_y(inst, machine, rng)
+            y, _ = apps._purified_y(inst, machine, final_delta, rng)
             bad += bin(y & inst.s_mask).count("1") % 2
         # only the depolarized branch can violate, and then only half the
         # time, so the violation rate is final_delta / 2 < eps / 2
@@ -149,7 +149,8 @@ class TestSampleDistribution:
         inst = SimonInstance(2, "10", 0.4)
         y, queries = sample_purified_y(inst, 0.1, Seed(52))
         assert len(y) == 2 and set(y) <= {"0", "1"}
-        assert queries >= 2 ** apps._purifier(inst.oracle_delta, inst.oracle_dim, 0.1).n
+        machine, _ = apps._purifier(inst.oracle_delta, inst.oracle_dim, 0.1)
+        assert queries >= 2**machine.n
 
     def test_rejects_eps_at_least_delta(self):
         inst = SimonInstance(2, "10", 0.4)
@@ -256,7 +257,7 @@ class TestMixedness:
         trace = iterate(delta0, Dimension.finite(d), n)
         hits = 0
         runs = 3000
-        machine = StackMachine(d, trace.deltas, trace.ps)
+        machine = StackMachine(trace.ps)
         for i in range(runs):
             machine.run(seeded_draws(Seed(60, i).generator()))
             hits += machine.level_attempts[-1] == 1
@@ -271,7 +272,7 @@ class TestMixedness:
         p1 = success_prob(1.0, Dimension.finite(d))
         hits = 0
         runs = 3000
-        machine = StackMachine(d, [1.0] * (n + 1), [p1] * n)
+        machine = StackMachine([p1] * n)
         for i in range(runs):
             machine.run(seeded_draws(Seed(61, i).generator()))
             hits += machine.level_attempts[-1] == 1

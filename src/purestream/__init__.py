@@ -17,31 +17,7 @@ import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "__version__",
-    "INFINITE",
-    "Dimension",
-    "Seed",
-    "as_dimension",
-    "fidelity_of_output",
-    "RecurrenceTrace",
-    "delta_map",
-    "expected_sample_complexity",
-    "iterate",
-    "iterations_to",
-    "kappa_map",
-    "success_prob",
-    "improves_both",
-    "region_boundary",
-    "swap_output_delta",
-    "swap_success_prob",
-    "StreamStats",
-    "monte_carlo",
-    "purify_recursive",
-    "purify_streaming",
-]
-
-# each public name's home submodule
+# each public name's home submodule: the one list of the package's names
 _HOME = {
     "INFINITE": "core",
     "Dimension": "core",
@@ -64,6 +40,8 @@ _HOME = {
     "purify_recursive": "streaming",
     "purify_streaming": "streaming",
 }
+
+__all__ = ["__version__", *_HOME]
 
 
 def __getattr__(name: str):

@@ -67,6 +67,8 @@ def _dim_list(text: str) -> list:
         raise argparse.ArgumentTypeError(str(exc)) from None
     if not dims:
         raise argparse.ArgumentTypeError(f"must list dimensions, got {text!r}")
+    if len(set(dims)) < len(dims):
+        raise argparse.ArgumentTypeError(f"must list each dimension once, got {text!r}")
     return dims
 
 
@@ -103,16 +105,23 @@ def _echo(value):
     return str(value) if isinstance(value, Dimension) else value
 
 
-def _open(path: str | None):
-    """The output stream of a path, opened now: stdout for None or '-'."""
-    if path in (None, "-"):
-        return contextlib.nullcontext(sys.stdout)
-    return open(path, "w")
+@contextlib.contextmanager
+def _outputs(*paths: str):
+    """The output streams of paths ('-' is stdout), all opened before any is emptied.
+
+    Append mode truncates nothing, so a bad path leaves the others' bytes as they were.
+    """
+    with contextlib.ExitStack() as stack:
+        streams = [sys.stdout if p == "-" else stack.enter_context(open(p, "a")) for p in paths]
+        for fh in streams:
+            if fh is not sys.stdout and os.path.isfile(fh.name):
+                fh.truncate(0)
+        yield streams
 
 
-def _write_lines(out_path: str | None, lines):
-    with _open(out_path) as fh:
-        fh.writelines(lines)
+def _write_lines(out_path: str, lines):
+    with _outputs(out_path) as (out,):
+        out.writelines(lines)
 
 
 def _csv(meta: dict, header: list[str], rows):
@@ -237,17 +246,15 @@ def cmd_simulate(args) -> int:
             "min_copies": summary.min_copies,
             "max_copies": summary.max_copies,
             "mean_swap_attempts": summary.mean_swap_attempts,
-            "max_stack_depth": summary.max_stack_depth,
+            "max_stack_depth": summary.n + 1,  # the memory bound, which every run reaches
             "theoretical_sc": summary.theoretical_sc,
             "z_score": summary.z_score,
         }
     }
-    # opened before the first byte, so a bad path writes nothing
-    with _open(args.per_run) if args.per_run else contextlib.nullcontext() as per_run:
-        _write_lines(args.out, [_json_doc(meta, payload)])
-        if per_run:
-            rows = enumerate(samples.tolist())
-            per_run.writelines(_csv(meta, ["run", "copies_consumed"], rows))
+    with _outputs(args.out, *filter(None, [args.per_run])) as (out, *per_run):
+        out.write(_json_doc(meta, payload))
+        for fh in per_run:
+            fh.writelines(_csv(meta, ["run", "copies_consumed"], enumerate(samples.tolist())))
     return EXIT_OK
 
 

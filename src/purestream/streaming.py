@@ -102,14 +102,13 @@ class InvariantViolation(RuntimeError):
 class StreamStats:
     """What one protocol run measured.
 
-    copies_consumed counts stream fetches (pairs for n >= 1, one raw
-    copy for n = 0).  The output's delta_n is the recurrence trace's, and
-    the gate count is recurrence.gate_count_estimate(swap_attempts, d).
+    copies_consumed counts raw copies (two per fresh pair for n >= 1, one
+    for n = 0).  The output's delta_n is the recurrence trace's, the gate
+    count gate_count_estimate(swap_attempts, d) and the memory n + 1 states.
     """
 
     copies_consumed: int
     swap_attempts: int
-    max_stack_depth: int
 
 
 def seeded_draws(rng: np.random.Generator) -> Iterator[float]:
@@ -143,12 +142,12 @@ class StackMachine:
 
     Stack order, equal-level pairing and the n + 1 memory bound hold by
     construction: held levels are distinct, a test pairs two states of one
-    level, and at most n - 1 states are held beside the pair.  A finished
-    run has held all n + 1, so its max_stack_depth is n + 1.  A run counts
-    where each carry ends: the level whose test failed, or where it left a
-    held state.  One suffix sum turns these into per-level attempts and
-    successes, which give copies (2 * level_attempts[0]) and total attempts
-    and which _check_balance checks.  A machine holds only its n success
+    level, and at most n - 1 states are held beside the pair; every run
+    reaches n + 1 before its last test.  A run counts where each carry
+    ends: the level whose test failed, or where it left a held state.  One
+    suffix sum turns these into per-level attempts and successes, which
+    give copies (2 * level_attempts[0]) and total attempts and which
+    _check_balance checks.  A machine holds only its n success
     probabilities, each checked once to lie in (0, 1], so one serves many
     runs; each run leaves its own level_attempts and level_successes lists.
     """
@@ -172,7 +171,7 @@ class StackMachine:
         self.level_successes = level_successes = [0] * max(n, 1)
         if n == 0:
             # Degenerate protocol: hand back one raw copy untouched.
-            return StreamStats(1, 0, 1)
+            return StreamStats(1, 0)
 
         p_of_level = self.p_of_level
         p0 = p_of_level[0]
@@ -213,11 +212,7 @@ class StackMachine:
             level_attempts[j] = passed
 
         _check_balance(level_attempts, level_successes, held)
-        return StreamStats(
-            copies_consumed=2 * level_attempts[0],
-            swap_attempts=sum(level_attempts),
-            max_stack_depth=n + 1,
-        )
+        return StreamStats(2 * level_attempts[0], sum(level_attempts))
 
 
 def _check_balance(level_attempts, level_successes, held):
@@ -248,8 +243,8 @@ def purify_recursive(delta0: float, d: int, n: int, seed) -> StreamStats:
     and swap-testing them until the test succeeds.  Realizes the same
     copies/attempts distribution as the stack machine; kept as an
     independent implementation for cross-validation.  Its recursion is
-    n deep, and the copy cap keeps n below 30.  Its max_stack_depth counts
-    the states it held; finite draws that run out raise RuntimeError.
+    n deep, and the copy cap keeps n below 30.  More than n + 1 held states
+    raise InvariantViolation, and finite draws that run out RuntimeError.
     """
     p_of_level = protocol_trace(delta0, d, n).ps
     draw = as_draws(seed).__next__
@@ -257,15 +252,14 @@ def purify_recursive(delta0: float, d: int, n: int, seed) -> StreamStats:
     copies = 0
     attempts = 0
     held = 0
-    max_held = 0
 
     def build(level: int):
-        nonlocal copies, attempts, held, max_held
+        nonlocal copies, attempts, held
         if level == 0:
             copies += 1
             held += 1
-            if held > max_held:
-                max_held = held
+            if held > n + 1:
+                raise InvariantViolation(f"held {held} states, bound is n+1 = {n + 1}")
             return
         while True:
             build(level - 1)
@@ -280,9 +274,7 @@ def purify_recursive(delta0: float, d: int, n: int, seed) -> StreamStats:
         build(n)
     except StopIteration:
         raise RuntimeError("the draws ran out before the run ended") from None
-    if max_held > n + 1:
-        raise InvariantViolation(f"held {max_held} states, bound is n+1 = {n + 1}")
-    return StreamStats(copies_consumed=copies, swap_attempts=attempts, max_stack_depth=max_held)
+    return StreamStats(copies, attempts)
 
 
 @dataclass(frozen=True)
@@ -298,7 +290,6 @@ class MonteCarloSummary:
     min_copies: int
     max_copies: int
     mean_swap_attempts: float
-    max_stack_depth: int
     theoretical_sc: float
     level_attempts: tuple[int, ...]
     level_successes: tuple[int, ...]
@@ -383,7 +374,6 @@ def monte_carlo(
         min_copies=int(copies.min()),
         max_copies=int(copies.max()),
         mean_swap_attempts=sum(lev_att) / runs,
-        max_stack_depth=n + 1,
         theoretical_sc=trace.expected_copies,
         level_attempts=lev_att,
         level_successes=lev_suc,

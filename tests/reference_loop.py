@@ -21,7 +21,7 @@ def reference_run(machine: StackMachine, draws):
     level_attempts = [0] * max(n, 1)
     level_successes = [0] * max(n, 1)
     if n == 0:
-        stats = StreamStats(1, 0, 1)
+        stats = StreamStats(1, 0)
         return stats, level_attempts, level_successes, None
 
     p_of_level = machine.p_of_level
@@ -40,9 +40,5 @@ def reference_run(machine: StackMachine, draws):
             held[lev] = False
 
     _check_balance(level_attempts, level_successes, held)
-    stats = StreamStats(
-        copies_consumed=2 * level_attempts[0],
-        swap_attempts=sum(level_attempts),
-        max_stack_depth=n + 1,
-    )
+    stats = StreamStats(2 * level_attempts[0], sum(level_attempts))
     return stats, level_attempts, level_successes, level_attempts[n - 1] == 1

@@ -233,6 +233,35 @@ class TestSimulateCommand:
             assert capsys.readouterr().err.startswith("error: --out and --per-run")
             assert not out.exists()
 
+    @pytest.mark.parametrize("bad", ["--out", "--per-run"])
+    def test_bad_path_leaves_the_other_output_unchanged(self, tmp_path, bad):
+        # neither output is opened for writing until both can be opened
+        kept = tmp_path / "kept"
+        kept.write_bytes(b"earlier bytes\n")
+        other = "--per-run" if bad == "--out" else "--out"
+        assert run_cli(["simulate", "--d", "2", "--delta0", "0.3", "--levels", "2",
+                        "--runs", "3", bad, str(tmp_path / "no" / "such" / "x"),
+                        other, str(kept)]) == 1
+        assert kept.read_bytes() == b"earlier bytes\n"
+
+    def test_existing_outputs_are_overwritten(self, tmp_path):
+        out, per_run = tmp_path / "s.json", tmp_path / "runs.csv"
+        args = ["simulate", "--d", "2", "--delta0", "0.3", "--levels", "3", "--runs", "50",
+                "--out", str(out), "--per-run", str(per_run)]
+        assert run_cli(args) == 0
+        first = out.read_bytes(), per_run.read_bytes()
+        out.write_bytes(b"x" * 10**5)
+        assert run_cli(args) == 0
+        assert (out.read_bytes(), per_run.read_bytes()) == first
+
+    def test_payload_depth_is_levels_plus_one(self, tmp_path):
+        # the n + 1 memory bound, which every run reaches
+        for levels in (1, 3, 6):
+            out = tmp_path / f"{levels}.json"
+            assert run_cli(["simulate", "--d", "2", "--delta0", "0.3", "--levels", str(levels),
+                            "--runs", "10", "--out", str(out)]) == 0
+            assert json.loads(out.read_text())["summary"]["max_stack_depth"] == levels + 1
+
     def test_jobs_split_on_stream_boundaries(self, tmp_path):
         # three seed streams, the last one partial: --jobs 2 gives the
         # summary and per-run rows of --jobs 1, and echoes its own --jobs
@@ -555,6 +584,9 @@ BAD_ARG_CASES = [
     (["simon", "--m", "2,3,2"], "argument --m: "),
     (["recurrence", "--d", ""], "argument --d: "),
     (["region", "--d-list", ""], "argument --d-list: "),
+    # each dimension's rows would be written twice
+    (["recurrence", "--d", "2,2"], "argument --d: "),
+    (["region", "--d-list", "inf,infinite"], "argument --d-list: "),
     (["verify", "--tol", "-1"], "argument --tol: "),
     (["verify", "--tol", "nan"], "argument --tol: "),
     (["mixedness", "--tau", "2"], "threshold "),

@@ -29,7 +29,7 @@ from purestream.streaming import (
 class TestDegenerateAndRigged:
     def test_zero_levels_returns_one_raw_copy(self):
         st = purify_streaming(0.37, 2, 0, Seed(0))
-        assert st == StreamStats(1, 0, 1)
+        assert st == StreamStats(1, 0)
         assert purify_recursive(0.37, 2, 0, Seed(0)) == st
 
     def test_one_level_always_success(self):
@@ -37,14 +37,12 @@ class TestDegenerateAndRigged:
         st = machine.run(always_succeed())
         assert st.copies_consumed == 2
         assert st.swap_attempts == 1
-        assert st.max_stack_depth == 2
         assert machine.level_attempts[-1] == 1
 
     def test_two_levels_always_success_consumes_full_tree(self):
         st = purify_streaming(0.3, 2, 2, always_succeed())
         assert st.copies_consumed == 4
         assert st.swap_attempts == 3
-        assert st.max_stack_depth == 3
 
     def test_forced_failure_path(self):
         # level-0 failure discards the pair and fetches a fresh one
@@ -143,8 +141,8 @@ class TestStructuralInvariants:
             assert st.copies_consumed >= 2**3  # the success tree alone has 2^n leaves
 
     def test_memory_bound_over_many_runs(self):
-        # purify_recursive counts the states it holds, and every finished run
-        # holds n + 1 at once; the stack machine's n + 1 holds by construction
+        # purify_recursive counts the states it holds and raises above n + 1;
+        # the stack machine's n + 1 holds by construction
         for n in range(1, 7):
             outcomes = fail_once_per_level(n)
             machine = StackMachine.for_protocol(0.8, 4, n)
@@ -154,9 +152,9 @@ class TestStructuralInvariants:
             assert failures == [1] * n
             assert st.swap_attempts == len(outcomes)
             assert purify_recursive(0.8, 4, n, forced_draws(outcomes)) == st
-            assert st.max_stack_depth == n + 1
         for i in range(20):
-            assert purify_recursive(0.8, 4, 4, Seed(3, i)).max_stack_depth == 5
+            seed = Seed(3, i)
+            assert purify_recursive(0.8, 4, 4, seed) == purify_streaming(0.8, 4, 4, seed)
 
     def test_counts_derived_from_carry_ends(self):
         # three levels at p = 1/2, tests in draw order (P pass, F fail):
@@ -350,9 +348,13 @@ class TestMonteCarlo:
         summary = monte_carlo(0.3, 2, 5, 20000, Seed(21))
         assert abs(summary.z_score) <= 3.0
 
-    def test_depth_bound(self):
+    def test_summed_counts_balance(self):
+        # every run ends at one level-n success with no state held below it,
+        # so each level-j state made was consumed by a level-j test
         summary = monte_carlo(0.7, 3, 6, 2000, Seed(22))
-        assert summary.max_stack_depth <= 7
+        att, suc = summary.level_attempts, summary.level_successes
+        assert suc[-1] == summary.runs
+        assert all(suc[j - 1] == 2 * att[j] for j in range(1, 6))
 
     def test_runs_share_one_stream_in_order(self):
         # runs k..k+j of stream b are successive machine.run calls on one
@@ -512,12 +514,6 @@ class TestProtocolEntry:
     def test_rejects_bad_args(self, args):
         with pytest.raises(ValueError):
             protocol_trace(*args)
-
-    def test_depth_is_n_plus_one(self):
-        for n in range(4):
-            assert purify_streaming(0.6, 8, n, Seed(30, n)).max_stack_depth == n + 1
-            assert purify_recursive(0.6, 8, n, Seed(30, n)).max_stack_depth == n + 1
-        assert monte_carlo(0.6, 8, 3, 50, Seed(30)).max_stack_depth == 4
 
 
 def copies_pmf(ps, size):

@@ -107,9 +107,9 @@ def _echo(value):
 
 @contextlib.contextmanager
 def _outputs(*paths: str):
-    """The output streams of paths ('-' is stdout), all opened before any is emptied.
+    """Open paths in order ('-' is stdout), in append mode, then empty each regular file.
 
-    Append mode truncates nothing, so a bad path leaves the others' bytes as they were.
+    So a bad path changes no file opened before it and creates none after it.
     """
     with contextlib.ExitStack() as stack:
         streams = [sys.stdout if p == "-" else stack.enter_context(open(p, "a")) for p in paths]
@@ -251,7 +251,7 @@ def cmd_simulate(args) -> int:
             "z_score": summary.z_score,
         }
     }
-    with _outputs(args.out, *filter(None, [args.per_run])) as (out, *per_run):
+    with _outputs(*filter(None, [args.per_run]), args.out) as (*per_run, out):
         out.write(_json_doc(meta, payload))
         for fh in per_run:
             fh.writelines(_csv(meta, ["run", "copies_consumed"], enumerate(samples.tolist())))

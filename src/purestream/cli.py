@@ -5,6 +5,10 @@ run summaries to JSON (with a `meta` block echoing the full
 configuration and root seed).  Identical invocations produce identical
 bytes, so outputs can be diffed in CI.
 
+Each command returns its exit code and output lines and opens no file;
+main opens --out, and simulate's --per-run, before the command runs, so
+a bad path fails at once, and writes after it returns.
+
 Exit codes: 0 success, 1 usage error, 2 validation/tolerance failure,
 3 budget exhausted.
 """
@@ -107,28 +111,28 @@ def _echo(value):
 
 @contextlib.contextmanager
 def _outputs(*paths: str):
-    """Open paths in order ('-' is stdout), in append mode, then empty each regular file.
+    """Open paths in order ('-' is stdout), in append mode, and yield their streams.
 
-    So a bad path changes no file opened before it and creates none after it.
+    Appending changes no file, so a bad path fails before the command runs
+    and leaves every file as it was.  If the block raises, the files that
+    this call created are removed; the caller empties each regular file
+    before it writes.
     """
-    with contextlib.ExitStack() as stack:
-        streams = [sys.stdout if p == "-" else stack.enter_context(open(p, "a")) for p in paths]
-        for fh in streams:
-            if fh is not sys.stdout and os.path.isfile(fh.name):
-                fh.truncate(0)
-        yield streams
-
-
-def _write_lines(out_path: str, lines):
-    with _outputs(out_path) as (out,):
-        out.writelines(lines)
+    created = [p for p in paths if p != "-" and not os.path.lexists(p)]
+    try:
+        with contextlib.ExitStack() as stack:
+            yield [sys.stdout if p == "-" else stack.enter_context(open(p, "a")) for p in paths]
+    except BaseException:
+        for path in filter(os.path.lexists, created):
+            os.remove(path)
+        raise
 
 
 def _csv(meta: dict, header: list[str], rows):
     """The lines of a CSV, made as they are written.
 
-    The first row is made here, before any byte is written, so an argument
-    error raised making it (an out-of-range --iters, say) writes nothing.
+    The first row is made here, inside the command, so an argument error
+    raised making it (an out-of-range --iters, say) writes nothing.
     """
     rows = iter(rows)
     first = list(itertools.islice(rows, 1))
@@ -155,7 +159,7 @@ def _json_doc(meta: dict, payload: dict) -> str:
 # ---------------------------------------------------------------------------
 
 
-def cmd_recurrence(args) -> int:
+def cmd_recurrence(args):
     from . import recurrence
 
     # rows come straight from the walk; no dimension's orbit is held
@@ -164,11 +168,10 @@ def cmd_recurrence(args) -> int:
         for dm in args.d
         for i, (delta_i, _, p_i) in enumerate(recurrence.orbit(args.delta0, dm, args.iters))
     )
-    _write_lines(args.out, _csv(_meta("recurrence-v1", args), ["d", "i", "delta_i", "p_i"], rows))
-    return EXIT_OK
+    return EXIT_OK, _csv(_meta("recurrence-v1", args), ["d", "i", "delta_i", "p_i"], rows)
 
 
-def cmd_bounds(args) -> int:
+def cmd_bounds(args):
     from . import recurrence
 
     d, delta0, eps = args.d, args.delta0, args.eps
@@ -190,18 +193,16 @@ def cmd_bounds(args) -> int:
     }
     meta = _meta("bounds-v1", args, "format")
     if args.format == "json":
-        _write_lines(args.out, [_json_doc(meta, {"bounds": table})])
-    else:
-        lines = [f"# {k}: {v}" for k, v in meta.items() if k != "params"]
-        lines.append(f"# params: {json.dumps(meta['params'], sort_keys=True)}")
-        width = max(len(k) for k in table)
-        for key, value in table.items():
-            lines.append(f"{key:<{width}}  {'N/A' if value is None else value}")
-        _write_lines(args.out, ["\n".join(lines) + "\n"])
-    return EXIT_OK
+        return EXIT_OK, [_json_doc(meta, {"bounds": table})]
+    lines = [f"# {k}: {v}" for k, v in meta.items() if k != "params"]
+    lines.append(f"# params: {json.dumps(meta['params'], sort_keys=True)}")
+    width = max(len(k) for k in table)
+    for key, value in table.items():
+        lines.append(f"{key:<{width}}  {'N/A' if value is None else value}")
+    return EXIT_OK, ["\n".join(lines) + "\n"]
 
 
-def cmd_region(args) -> int:
+def cmd_region(args):
     from . import gadget
 
     if args.resolution > MAX_RESOLUTION:
@@ -211,8 +212,7 @@ def cmd_region(args) -> int:
     rows = (
         (str(dm), delta1, gadget.region_boundary(delta1, dm)) for dm in dims for delta1 in grid
     )
-    _write_lines(args.out, _csv(_meta("region-v3", args), ["d", "delta1", "delta2_boundary"], rows))
-    return EXIT_OK
+    return EXIT_OK, _csv(_meta("region-v3", args), ["d", "delta1", "delta2_boundary"], rows)
 
 
 def _region_grid(resolution: int) -> list[float]:
@@ -221,7 +221,7 @@ def _region_grid(resolution: int) -> list[float]:
     return [i * step for i in range(1, resolution + 1)]
 
 
-def cmd_simulate(args) -> int:
+def cmd_simulate(args):
     from . import streaming
     from .core import Seed
 
@@ -251,14 +251,13 @@ def cmd_simulate(args) -> int:
             "z_score": summary.z_score,
         }
     }
-    with _outputs(*filter(None, [args.per_run]), args.out) as (*per_run, out):
-        out.write(_json_doc(meta, payload))
-        for fh in per_run:
-            fh.writelines(_csv(meta, ["run", "copies_consumed"], enumerate(samples.tolist())))
-    return EXIT_OK
+    outputs = [[_json_doc(meta, payload)]]
+    if args.per_run:
+        outputs.append(_csv(meta, ["run", "copies_consumed"], enumerate(samples.tolist())))
+    return EXIT_OK, *outputs
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(args):
     from . import dense_oracle, gadget
     from .core import Seed
 
@@ -292,11 +291,10 @@ def cmd_verify(args) -> int:
             "pass": ok,
         }
     }
-    _write_lines(args.out, [_json_doc(meta, payload)])
-    return EXIT_OK if ok else EXIT_VALIDATION
+    return (EXIT_OK if ok else EXIT_VALIDATION), [_json_doc(meta, payload)]
 
 
-def cmd_simon(args) -> int:
+def cmd_simon(args):
     from . import applications
     from .core import Seed
 
@@ -330,12 +328,12 @@ def cmd_simon(args) -> int:
             "mean_samples": samples / args.trials,
         }
         all_budget_exhausted = all_budget_exhausted and exhausted == args.trials
-    _write_lines(args.out, [_json_doc(_meta("simon-v1", args, "jobs"), {"per_m": per_m})])
     # a trial that runs out of samples fails, so none succeeded
-    return EXIT_BUDGET if all_budget_exhausted else EXIT_OK
+    code = EXIT_BUDGET if all_budget_exhausted else EXIT_OK
+    return code, [_json_doc(_meta("simon-v1", args, "jobs"), {"per_m": per_m})]
 
 
-def cmd_mixedness(args) -> int:
+def cmd_mixedness(args):
     from . import applications
     from .core import Seed
 
@@ -364,8 +362,7 @@ def cmd_mixedness(args) -> int:
             "error_rate": errors / args.trials,
             "pass_count_histogram": {str(k): v for k, v in sorted(hist.items())},
         }
-    _write_lines(args.out, [_json_doc(_meta("mixedness-v1", args), {"classes": classes})])
-    return EXIT_OK
+    return EXIT_OK, [_json_doc(_meta("mixedness-v1", args), {"classes": classes})]
 
 
 # ---------------------------------------------------------------------------
@@ -460,7 +457,13 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.func(args)
+        with _outputs(args.out, *filter(None, [getattr(args, "per_run", None)])) as streams:
+            code, *outputs = args.func(args)
+            for fh, lines in zip(streams, outputs):
+                if fh is not sys.stdout and os.path.isfile(fh.name):
+                    fh.truncate(0)
+                fh.writelines(lines)
+        return code
     except (_UsageExit, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

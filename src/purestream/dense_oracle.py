@@ -62,7 +62,9 @@ def make_depolarized(psi: np.ndarray, delta: float) -> np.ndarray:
         raise ValueError("psi has a non-finite entry")
     if abs(np.linalg.norm(psi) - 1.0) > _NORM_TOL:
         raise ValueError("psi must have unit norm")
-    return (1.0 - delta) * np.outer(psi, psi.conj()) + delta * np.eye(d) / d
+    rho = (1.0 - delta) * np.outer(psi, psi.conj())
+    rho.flat[:: d + 1] += delta / d  # the diagonal, in place
+    return rho
 
 
 def validate_density_matrix(rho: np.ndarray, name: str = "state") -> int:
@@ -76,7 +78,8 @@ def validate_density_matrix(rho: np.ndarray, name: str = "state") -> int:
         raise ValueError(f"{name} has a non-finite entry")
     if np.abs(rho - rho.conj().T).max() > _HERMITIAN_TOL:
         raise ValueError(f"{name} is not Hermitian")
-    if abs(np.trace(rho).real - 1.0) > _TRACE_TOL or abs(np.trace(rho).imag) > _TRACE_TOL:
+    trace = np.trace(rho)
+    if abs(trace.real - 1.0) > _TRACE_TOL or abs(trace.imag) > _TRACE_TOL:
         raise ValueError(f"{name} does not have unit trace")
     if np.linalg.eigvalsh(rho).min() < -_PSD_TOL:
         raise ValueError(f"{name} has a negative eigenvalue")
@@ -121,23 +124,20 @@ def swap_test_apply(rho: np.ndarray, sigma: np.ndarray) -> SwapTestResult:
     # the partial traces of (J + SJS) and (SJ + JS), J = rho (x) sigma
     direct = rho + sigma
     cross = rs + rs.conj().T  # sigma rho = (rho sigma)^H
-    branches = []
-    probs = []
-    for sign in (+1.0, -1.0):
-        reduced = (direct + sign * cross) / 4.0
-        p = float(np.trace(reduced).real)
-        probs.append(p)
-        if p > _BRANCH_EPS:
-            branches.append(reduced / p)
-        else:
-            branches.append(None)
-    p0, p1 = probs
+    p0, omega0 = _branch((direct + cross) / 4.0)
+    p1, omega1 = _branch((direct - cross) / 4.0)
 
     if abs(p0 - p0_formula) > _CROSS_CHECK_TOL:
         raise AssertionError(
             f"swap-test probability cross-check failed: {p0} vs {p0_formula}"
         )
-    return SwapTestResult(p0=p0, p1=p1, omega0=branches[0], omega1=branches[1])
+    return SwapTestResult(p0=p0, p1=p1, omega0=omega0, omega1=omega1)
+
+
+def _branch(reduced: np.ndarray) -> tuple[float, np.ndarray | None]:
+    """A branch's weight and its normalized state, None below _BRANCH_EPS."""
+    p = float(np.trace(reduced).real)
+    return p, reduced / p if p > _BRANCH_EPS else None
 
 
 def trace_distance(a: np.ndarray, b: np.ndarray) -> float:

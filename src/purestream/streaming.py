@@ -67,7 +67,7 @@ RUNS_PER_STREAM = 1024
 
 
 def protocol_trace(delta0: float, d: int, n: int, runs: int = 1) -> RecurrenceTrace:
-    """Recurrence tables for `runs` runs of the n-level protocol.
+    """Recurrence tables for `runs` runs of the n-level protocol, n >= 1.
 
     The one entry check of every protocol run: validates the arguments
     and raises ValueError when runs exceeds MAX_RUNS or runs x 2^n / prod p_i,
@@ -75,8 +75,8 @@ def protocol_trace(delta0: float, d: int, n: int, runs: int = 1) -> RecurrenceTr
     """
     check_open_unit(delta0=delta0)
     check_dim(d)
-    if n < 0:
-        raise ValueError("n must be non-negative")
+    if n < 1:
+        raise ValueError(f"n must be at least 1, got {n}")
     if not 1 <= runs <= MAX_RUNS:
         raise ValueError(f"runs must lie in 1..MAX_RUNS = {MAX_RUNS:.0e}, got {runs}")
     # in log2: log2 runs + n - sum log2 p_i.  Every p_i <= 1, so n alone is
@@ -102,8 +102,8 @@ class InvariantViolation(RuntimeError):
 class StreamStats:
     """What one protocol run measured.
 
-    copies_consumed counts raw copies (two per fresh pair for n >= 1, one
-    for n = 0).  The output's delta_n is the recurrence trace's, the gate
+    copies_consumed counts raw copies, two per fresh pair (n >= 1
+    levels).  The output's delta_n is the recurrence trace's, the gate
     count gate_count_estimate(swap_attempts, d) and the memory n + 1 states.
     """
 
@@ -147,7 +147,7 @@ class StackMachine:
     ends: the level whose test failed, or where it left a held state.  One
     suffix sum turns these into per-level attempts and successes, which
     give copies (2 * level_attempts[0]) and total attempts and which
-    _check_balance checks.  A machine holds only its n success
+    _check_balance checks.  A machine holds only its n >= 1 success
     probabilities, each checked once to lie in (0, 1], so one serves many
     runs; each run leaves its own level_attempts and level_successes lists.
     """
@@ -155,6 +155,8 @@ class StackMachine:
     def __init__(self, p_of_level):
         self.p_of_level = [float(p) for p in p_of_level]
         self.n = len(self.p_of_level)
+        if not self.n:
+            raise ValueError("p_of_level must list at least one level")
         for i, p in enumerate(self.p_of_level):
             if not 0.0 < p <= 1.0:  # p = 0 would never end a run, and NaN fails too
                 raise ValueError(f"p_of_level[{i}] must lie in (0, 1], got {p}")
@@ -167,12 +169,8 @@ class StackMachine:
         """One run on an iterator of uniform draws (RuntimeError if it runs out)."""
         draws = iter(draws)
         n = self.n
-        self.level_attempts = level_attempts = [0] * max(n, 1)
-        self.level_successes = level_successes = [0] * max(n, 1)
-        if n == 0:
-            # Degenerate protocol: hand back one raw copy untouched.
-            return StreamStats(1, 0)
-
+        self.level_attempts = level_attempts = [0] * n
+        self.level_successes = level_successes = [0] * n
         p_of_level = self.p_of_level
         p0 = p_of_level[0]
         # held[n] is set by the level-n state that ends the run
@@ -342,8 +340,6 @@ def monte_carlo(
     import numpy as np
 
     trace = protocol_trace(delta0, d, n, runs)
-    if n < 1:
-        raise ValueError("monte_carlo requires n >= 1")
     machine = StackMachine(trace.ps)  # one for every run
     task = functools.partial(_mc_stream, machine, as_seed(seed), runs)
 

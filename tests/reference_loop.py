@@ -18,12 +18,8 @@ def reference_run(machine: StackMachine, draws):
     """
     draw = iter(draws).__next__
     n = machine.n
-    level_attempts = [0] * max(n, 1)
-    level_successes = [0] * max(n, 1)
-    if n == 0:
-        stats = StreamStats(1, 0)
-        return stats, level_attempts, level_successes, None
-
+    level_attempts = [0] * n
+    level_successes = [0] * n
     p_of_level = machine.p_of_level
     held = [False] * (n + 1)
     while not held[n]:

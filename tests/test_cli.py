@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from lemmas import eta_bound
-from purestream import applications, recurrence, streaming
+from purestream import applications, dense_oracle, gadget, recurrence, streaming
 from purestream.cli import _region_grid, build_parser, main
 
 
@@ -38,6 +38,11 @@ def run_python(args, timeout):
 def run_cli_process(argv, timeout):
     """Run the CLI in a fresh interpreter; a hang fails the test at timeout."""
     return run_python(["-m", "purestream.cli", *argv], timeout)
+
+
+def tree(root):
+    """Every path under root, each file with its bytes."""
+    return {str(p.relative_to(root)): p.is_file() and p.read_bytes() for p in root.rglob("*")}
 
 
 def read_csv(path):
@@ -233,16 +238,24 @@ class TestSimulateCommand:
             assert capsys.readouterr().err.startswith("error: --out and --per-run")
             assert not out.exists()
 
-    @pytest.mark.parametrize("bad", ["--out", "--per-run"])
-    def test_bad_path_leaves_the_other_output_unchanged(self, tmp_path, bad):
-        # neither output is opened for writing until both can be opened
+    @pytest.mark.parametrize(
+        "bad, earlier",
+        [("--out", b"earlier bytes\n"), ("--per-run", b"earlier bytes\n"),
+         ("--out", None), ("--per-run", None)],
+        ids=["--out", "--per-run", "--out-new", "--per-run-new"],
+    )
+    def test_bad_path_leaves_the_other_output_unchanged(self, tmp_path, bad, earlier):
+        # both outputs are opened before the run, and a file this call
+        # created is removed when the other cannot be opened
         kept = tmp_path / "kept"
-        kept.write_bytes(b"earlier bytes\n")
+        if earlier:
+            kept.write_bytes(earlier)
+        before = tree(tmp_path)
         other = "--per-run" if bad == "--out" else "--out"
         assert run_cli(["simulate", "--d", "2", "--delta0", "0.3", "--levels", "2",
                         "--runs", "3", bad, str(tmp_path / "no" / "such" / "x"),
                         other, str(kept)]) == 1
-        assert kept.read_bytes() == b"earlier bytes\n"
+        assert tree(tmp_path) == before
 
     def test_existing_outputs_are_overwritten(self, tmp_path):
         out, per_run = tmp_path / "s.json", tmp_path / "runs.csv"
@@ -496,6 +509,46 @@ class TestUsageErrors:
         err = capsys.readouterr().err
         assert "error:" in err
         assert "Traceback" not in err
+
+
+class TestOutputPaths:
+    # main opens every output before the command runs, and removes the files
+    # it created if anything raises
+    LAYER_ENTRY = {
+        "recurrence": (recurrence, "orbit", ["recurrence"]),
+        "bounds": (recurrence, "iterations_to", ["bounds", "--d", "2", "--delta0", "0.5",
+                                                 "--eps", "0.01"]),
+        "region": (gadget, "region_boundary", ["region"]),
+        "simulate": (streaming, "monte_carlo", ["simulate", "--d", "2", "--delta0", "0.3",
+                                                "--levels", "2"]),
+        "verify": (dense_oracle, "random_pure_state", ["verify"]),
+        "simon": (applications, "solve_simon", ["simon"]),
+        "mixedness": (applications, "mixedness_test", ["mixedness"]),
+    }
+
+    @pytest.mark.parametrize("command", LAYER_ENTRY)
+    def test_bad_out_fails_before_the_layer_runs(self, command, tmp_path, monkeypatch, capsys):
+        owner, name, argv = self.LAYER_ENTRY[command]
+
+        def layer_ran(*args, **kwargs):
+            raise AssertionError(f"{command} ran {name} before opening --out")
+
+        monkeypatch.setattr(owner, name, layer_ran)
+        out = tmp_path / "missing" / "x"
+        assert run_cli([*argv, "--out", str(out)]) == 1
+        missing = f"error: [Errno 2] No such file or directory: {str(out)!r}\n"
+        assert capsys.readouterr().err == missing
+        assert tree(tmp_path) == {}
+
+    @pytest.mark.parametrize("earlier", [None, b"earlier bytes\n"], ids=["new", "existing"])
+    def test_usage_error_leaves_out_as_it_was(self, tmp_path, earlier, capsys):
+        out = tmp_path / "new.csv"
+        if earlier:
+            out.write_bytes(earlier)
+        before = tree(tmp_path)
+        assert run_cli(["region", "--resolution", "1000000", "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("error: --resolution must be at most")
+        assert tree(tmp_path) == before
 
 
 class TestOverflow:

@@ -15,7 +15,6 @@ from purestream.streaming import (
     RUNS_PER_STREAM,
     InvariantViolation,
     StackMachine,
-    StreamStats,
     _check_balance,
     as_draws,
     monte_carlo,
@@ -27,10 +26,15 @@ from purestream.streaming import (
 
 
 class TestDegenerateAndRigged:
-    def test_zero_levels_returns_one_raw_copy(self):
-        st = purify_streaming(0.37, 2, 0, Seed(0))
-        assert st == StreamStats(1, 0)
-        assert purify_recursive(0.37, 2, 0, Seed(0)) == st
+    def test_zero_levels_refused(self):
+        # a protocol has at least one level: no entry hands back a raw copy
+        for entry in (purify_streaming, purify_recursive):
+            with pytest.raises(ValueError, match="^n must be at least 1, got 0$"):
+                entry(0.37, 2, 0, Seed(0))
+        with pytest.raises(ValueError, match="^n must be at least 1, got 0$"):
+            monte_carlo(0.37, 2, 0, 10, Seed(0))
+        with pytest.raises(ValueError, match="^p_of_level must list at least one level$"):
+            StackMachine([])
 
     def test_one_level_always_success(self):
         machine = StackMachine.for_protocol(0.3, 2, 1)
@@ -124,7 +128,7 @@ class TestDraws:
         assert {type(u) for u in got} == {float}
         assert sizes == [128 << j for j in range(7)] + [8192] * 2
 
-    @pytest.mark.parametrize("n", [0, 3])
+    @pytest.mark.parametrize("n", [1, 3])
     def test_run_takes_only_draws(self, n):
         # seeds become draws at the public entries, never inside run
         machine = StackMachine.for_protocol(0.3, 2, n)
@@ -506,10 +510,11 @@ class TestProtocolEntry:
     def test_trace_under_the_cap(self):
         trace = protocol_trace(0.3, 2, 5, runs=10**5)
         assert trace == iterate(0.3, Dimension.finite(2), 5)
-        assert protocol_trace(0.3, 2, 0).ps == ()
 
     @pytest.mark.parametrize(
-        "args", [(0.0, 2, 3, 1), (1.0, 2, 3, 1), (0.3, 1, 3, 1), (0.3, 2, -1, 1), (0.3, 2, 3, 0)]
+        "args",
+        [(0.0, 2, 3, 1), (1.0, 2, 3, 1), (0.3, 1, 3, 1), (0.3, 2, -1, 1), (0.3, 2, 3, 0),
+         (0.3, 2, 0, 1)],
     )
     def test_rejects_bad_args(self, args):
         with pytest.raises(ValueError):

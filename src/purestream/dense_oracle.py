@@ -12,6 +12,9 @@ which holds for any pair of unit-trace matrices, so neither S nor the
 d^4 entries of the joint state are ever formed.  For Hermitian inputs
 sigma rho = (rho sigma)^H, so one swap test is one O(d^3) matmul, and its
 memory is a few d x d matrices.  Capped at d <= 16.
+
+validate_density_matrix and swap_test_apply also take stacks (..., d, d), as
+numpy.linalg does, and run each step once over the stack.
 """
 
 from __future__ import annotations
@@ -68,76 +71,81 @@ def make_depolarized(psi: np.ndarray, delta: float) -> np.ndarray:
 
 
 def validate_density_matrix(rho: np.ndarray, name: str = "state") -> int:
-    """Check finiteness, Hermiticity, unit trace, and positivity; return the dimension."""
+    """Check finiteness, Hermiticity, unit trace, and positivity; return the dimension.
+
+    rho is a matrix or a stack (..., d, d): one bad member fails the stack, as itself.
+    """
     rho = np.asarray(rho)
-    if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
+    if rho.ndim < 2 or rho.shape[-2] != rho.shape[-1]:
         raise ValueError(f"{name} must be a square matrix")
-    d = rho.shape[0]
+    d = rho.shape[-1]
     check_dim(d)
     if not np.isfinite(rho).all():
         raise ValueError(f"{name} has a non-finite entry")
-    if np.abs(rho - rho.conj().T).max() > _HERMITIAN_TOL:
+    if (np.abs(rho - rho.conj().swapaxes(-2, -1)) > _HERMITIAN_TOL).any():
         raise ValueError(f"{name} is not Hermitian")
-    trace = np.trace(rho)
-    if abs(trace.real - 1.0) > _TRACE_TOL or abs(trace.imag) > _TRACE_TOL:
+    trace = rho.trace(axis1=-2, axis2=-1)
+    if ((abs(trace.real - 1.0) > _TRACE_TOL) | (abs(trace.imag) > _TRACE_TOL)).any():
         raise ValueError(f"{name} does not have unit trace")
-    if np.linalg.eigvalsh(rho).min() < -_PSD_TOL:
+    if (np.linalg.eigvalsh(rho) < -_PSD_TOL).any():
         raise ValueError(f"{name} has a negative eigenvalue")
     return d
 
 
 @dataclass
 class SwapTestResult:
-    """Both outcome branches of one swap test.
+    """Both outcome branches of one swap test, or of a stack of them.
 
-    p0/p1 are the traces of each branch's reduced state; omega0 and
-    omega1 are the normalized kept registers (None when the branch weight
-    is below 1e-12 and normalizing would be meaningless).
+    p0/p1 are the traces of each branch's reduced state: floats for one
+    pair, float arrays over the leading axes for a stack.  omega0 and omega1
+    are the normalized kept registers (None when a branch weight in them is
+    at most 1e-12, where normalizing would be meaningless).
     """
 
-    p0: float
-    p1: float
+    p0: float | np.ndarray
+    p1: float | np.ndarray
     omega0: np.ndarray | None
     omega1: np.ndarray | None
 
 
 def swap_test_apply(rho: np.ndarray, sigma: np.ndarray) -> SwapTestResult:
-    """Apply the swap test to rho (x) sigma; return both outcome branches.
+    """Swap-test rho (x) sigma, two states or equal-shape stacks (..., d, d); return both branches.
 
-    The keep probability is computed twice, as (1 + Tr(rho sigma))/2 and
-    as the trace of the kept branch's reduced state; a disagreement
+    The keep probability of each pair is computed twice, as (1 + Tr(rho sigma))/2
+    and as the trace of the kept branch's reduced state; a disagreement
     beyond 1e-12 raises, since it would mean the dense algebra itself is
     inconsistent.
     """
     rho = np.asarray(rho, dtype=complex)
     sigma = np.asarray(sigma, dtype=complex)
     d = validate_density_matrix(rho, "rho")
-    d2 = validate_density_matrix(sigma, "sigma")
-    if d != d2:
-        raise ValueError(f"dimension mismatch: {d} vs {d2}")
+    validate_density_matrix(sigma, "sigma")
+    if rho.shape != sigma.shape:
+        raise ValueError(f"dimension mismatch: {rho.shape} vs {sigma.shape}")
     if d > MAX_DIM:
         raise ValueError(f"dense oracle is capped at d <= {MAX_DIM}, got {d}")
 
     rs = rho @ sigma
-    p0_formula = (1.0 + np.trace(rs).real) / 2.0
+    p0_formula = (1.0 + rs.trace(axis1=-2, axis2=-1).real) / 2.0
 
     # the partial traces of (J + SJS) and (SJ + JS), J = rho (x) sigma
     direct = rho + sigma
-    cross = rs + rs.conj().T  # sigma rho = (rho sigma)^H
-    p0, omega0 = _branch((direct + cross) / 4.0)
-    p1, omega1 = _branch((direct - cross) / 4.0)
+    rs += rs.conj().swapaxes(-2, -1)  # + sigma rho, which is (rho sigma)^H
+    p0, omega0 = _branch((direct + rs) / 4.0)
+    p1, omega1 = _branch((direct - rs) / 4.0)
 
-    if abs(p0 - p0_formula) > _CROSS_CHECK_TOL:
+    if (np.abs(p0 - p0_formula) > _CROSS_CHECK_TOL).any():
         raise AssertionError(
             f"swap-test probability cross-check failed: {p0} vs {p0_formula}"
         )
     return SwapTestResult(p0=p0, p1=p1, omega0=omega0, omega1=omega1)
 
 
-def _branch(reduced: np.ndarray) -> tuple[float, np.ndarray | None]:
-    """A branch's weight and its normalized state, None below _BRANCH_EPS."""
-    p = float(np.trace(reduced).real)
-    return p, reduced / p if p > _BRANCH_EPS else None
+def _branch(reduced: np.ndarray) -> tuple[float | np.ndarray, np.ndarray | None]:
+    """The branch weights and normalized states, None if any weight is at most _BRANCH_EPS."""
+    p = reduced.trace(axis1=-2, axis2=-1).real
+    omega = reduced / p[..., None, None] if (p > _BRANCH_EPS).all() else None
+    return (p if p.ndim else float(p)), omega
 
 
 def trace_distance(a: np.ndarray, b: np.ndarray) -> float:

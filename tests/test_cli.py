@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from lemmas import eta_bound
-from purestream import applications, dense_oracle, gadget, recurrence, streaming
+from purestream import applications, cli, dense_oracle, gadget, recurrence, streaming
 from purestream.cli import _region_grid, build_parser, main
 
 
@@ -238,6 +238,16 @@ class TestSimulateCommand:
             assert capsys.readouterr().err.startswith("error: --out and --per-run")
             assert not out.exists()
 
+    @pytest.mark.parametrize("flag, other", [("--out", "--per-run"), ("--per-run", "--out")])
+    def test_empty_path_is_refused(self, tmp_path, monkeypatch, capsys, flag, other):
+        # an empty --per-run was once dropped: exit 0, and no per-run CSV
+        monkeypatch.chdir(tmp_path)
+        args = ["simulate", "--d", "2", "--delta0", "0.3", "--levels", "2", "--runs", "3"]
+        for extra in ([], [other, "kept"]):
+            assert run_cli(args + [flag, "", *extra]) == 1
+            assert capsys.readouterr() == ("", "error: [Errno 2] No such file or directory: ''\n")
+            assert tree(tmp_path) == {}
+
     @pytest.mark.parametrize(
         "bad, earlier",
         [("--out", b"earlier bytes\n"), ("--per-run", b"earlier bytes\n"),
@@ -320,6 +330,16 @@ class TestVerifyCommand:
 
     def test_dimension_cap_is_usage_error(self):
         assert run_cli(["verify", "--d", "17", "--trials", "5"]) == 1
+
+    def test_bytes_do_not_depend_on_the_stack_size(self, monkeypatch, capsys):
+        # the trials are swap-tested in stacks of at most cli._VERIFY_CHUNK
+        argv = ["verify", "--d", "5", "--trials", "10", "--seed", "2"]
+        outputs = []
+        for chunk in (1, 3, 10, cli._VERIFY_CHUNK):
+            monkeypatch.setattr(cli, "_VERIFY_CHUNK", chunk)
+            assert run_cli(argv) == 0
+            outputs.append(capsys.readouterr().out)
+        assert len(set(outputs)) == 1
 
     def test_impossible_tolerance_fails_validation(self, tmp_path):
         out = tmp_path / "v.json"

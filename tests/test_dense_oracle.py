@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from circuit import run_swap_test_circuit, swap_test_circuit
 from purestream import cli
 from purestream.core import Seed
 from purestream.dense_oracle import (
@@ -18,6 +19,7 @@ from purestream.dense_oracle import (
     validate_density_matrix,
 )
 from purestream.gadget import swap_output_delta, swap_success_prob
+from purestream.recurrence import gate_count_estimate
 
 
 def swap_operator(d):
@@ -342,6 +344,94 @@ class TestAgainstEinsumJoint:
         for _ in range(2):
             for rho, sigma in _pairs(d, rng):
                 _assert_matches(rho, sigma, einsum_swap_test)
+
+
+def _branches(res, t=None):
+    """[(p0, omega0), (p1, omega1)] of a result, or of pair t of a stacked one."""
+    pick = (lambda x: x) if t is None else (lambda x: None if x is None else x[t])
+    return [(pick(res.p0), pick(res.omega0)), (pick(res.p1), pick(res.omega1))]
+
+
+def _stack(pairs):
+    """A list of (rho, sigma) pairs as the two stacks (n, d, d)."""
+    return np.stack([rho for rho, _ in pairs]), np.stack([sigma for _, sigma in pairs])
+
+
+class TestStacked:
+    """A stack (..., d, d) is checked and swap-tested as its pairs are, one by one."""
+
+    @pytest.mark.parametrize("d", range(2, MAX_DIM + 1))
+    def test_stack_equals_per_pair_calls_bit_for_bit(self, d):
+        rng = Seed(140 + d).generator()
+        pairs = [pair for _ in range(2) for pair in _pairs(d, rng)]
+        singles = [swap_test_apply(rho, sigma) for rho, sigma in pairs]
+        stacked = swap_test_apply(*_stack(pairs))
+        assert stacked.p0.dtype == stacked.p1.dtype == float
+        assert stacked.p0.shape == (len(pairs),)
+        for field in ("p0", "p1", "omega0", "omega1"):
+            want = np.stack([getattr(res, field) for res in singles])
+            assert np.array_equal(getattr(stacked, field), want), field
+        # two leading axes read as one
+        rho, sigma = (x.reshape(2, -1, d, d) for x in _stack(pairs))
+        grid = swap_test_apply(rho, sigma)
+        assert np.array_equal(grid.p0.ravel(), stacked.p0)
+        assert np.array_equal(grid.omega1.reshape(-1, d, d), stacked.omega1)
+
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            (np.diag([np.nan, 0.5, 0.5]), "has a non-finite entry"),
+            (np.eye(3) / 3 + np.diag([0.1, 0.1], 1), "is not Hermitian"),
+            (np.eye(3) / 2, "does not have unit trace"),
+            (np.diag([0.7, 0.5, -0.2]), "has a negative eigenvalue"),
+        ],
+        ids=["non-finite", "non-Hermitian", "trace", "negative"],
+    )
+    def test_one_bad_member_fails_the_stack(self, bad, message):
+        with pytest.raises(ValueError, match=f"^state {message}$"):
+            validate_density_matrix(bad)
+        stack = np.stack([np.eye(3) / 3] * 4)
+        stack[2] = bad
+        with pytest.raises(ValueError, match=f"^state {message}$"):
+            validate_density_matrix(stack)
+        with pytest.raises(ValueError, match=f"^sigma {message}$"):
+            swap_test_apply(np.stack([np.eye(3) / 3] * 4), stack)
+
+    def test_unequal_stack_shapes_rejected(self):
+        three, two = np.stack([np.eye(2) / 2] * 3), np.stack([np.eye(2) / 2] * 2)
+        for rho, sigma in ((three, two), (two, three), (three, np.eye(2) / 2)):
+            with pytest.raises(ValueError, match="^dimension mismatch"):
+                swap_test_apply(rho, sigma)
+
+    def test_one_equal_pure_pair_leaves_the_stack_no_reject_branch(self):
+        rng = Seed(150).generator()
+        pure = _pure_state(4, rng)
+        rho = np.stack([_wishart_state(4, 4, rng), pure, _wishart_state(4, 4, rng)])
+        sigma = np.stack([_wishart_state(4, 4, rng), pure, _wishart_state(4, 4, rng)])
+        res = swap_test_apply(rho, sigma)
+        assert abs(res.p1[1]) <= 1e-12 and res.p1[[0, 2]].min() > 1e-12
+        assert res.omega1 is None
+        assert res.omega0 is not None
+
+
+class TestAgainstCircuit:
+    """Differential test against the gate-level circuit on 2k + 1 qubits (tests/circuit.py)."""
+
+    @pytest.mark.parametrize("d", range(2, MAX_DIM + 1))
+    def test_single_and_stacked(self, d):
+        rng = Seed(160 + d).generator()
+        pairs = list(_pairs(d, rng))
+        stacked = swap_test_apply(*_stack(pairs))
+        for t, (rho, sigma) in enumerate(pairs):
+            want = run_swap_test_circuit(rho, sigma)
+            for got in (_branches(swap_test_apply(rho, sigma)), _branches(stacked, t)):
+                for (p, omega), (p_ref, omega_ref) in zip(got, want):
+                    assert abs(p - p_ref) <= 1e-12
+                    assert np.abs(omega - omega_ref).max() <= 1e-12
+
+    @pytest.mark.parametrize("d", range(2, MAX_DIM + 1))
+    def test_gate_count_is_the_estimate(self, d):
+        assert len(swap_test_circuit(d)) == gate_count_estimate(1, d)
 
 
 class TestJointView:

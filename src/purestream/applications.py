@@ -22,7 +22,7 @@ import functools
 import math
 from dataclasses import dataclass
 
-from .core import Dimension, as_generator, check_dim, check_open_unit
+from .core import Dimension, as_generator, check_dim, check_int, check_open_unit
 from .recurrence import ITERATION_CAP, iterations_to, orbit, success_prob
 from .streaming import StackMachine, protocol_trace, seeded_draws
 
@@ -53,8 +53,7 @@ class SimonInstance:
     oracle_delta: float
 
     def __post_init__(self):
-        if self.m < 2:
-            raise ValueError("m must be >= 2")
+        check_int("m", self.m, 2)
         if len(self.s) != self.m or any(c not in "01" for c in self.s):
             raise ValueError(f"s must be a length-{self.m} bit-string")
         if self.s == "0" * self.m:
@@ -164,8 +163,7 @@ def solve_simon(
     samples drawn; exhausting it yields a failure marker with the query
     accounting intact.
     """
-    if budget < 1:
-        raise ValueError("budget must be >= 1")
+    check_int("budget", budget, 1)
     rng = as_generator(rng)
     machine, final_delta = _purifier(instance.oracle_delta, instance.oracle_dim, eps_target)
     m = instance.m
@@ -272,8 +270,7 @@ def mixedness_test(
     """
     check_dim(d)
     check_open_unit(threshold=threshold)
-    if reps < 1:
-        raise ValueError("reps must be >= 1")
+    check_int("reps", reps, 1)
     n = mixedness_levels(eta)  # validates eta
     if case_delta != 1.0 and not (0.0 < case_delta <= 1.0 - eta / 2.0):
         raise ValueError(

@@ -41,14 +41,10 @@ _VERIFY_CHUNK = 1024
 MAX_SIMON_M = 63
 
 
-class _UsageExit(Exception):
-    pass
-
-
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
-        raise _UsageExit(message)
+        raise ValueError(message)
 
 
 def _positive_int(text: str) -> int:
@@ -82,7 +78,9 @@ def _dim_list(text: str) -> list:
 def _m_list(text: str) -> list[int]:
     ms = [int(tok) for tok in text.split(",") if tok.strip()]
     if not ms or not all(2 <= m <= MAX_SIMON_M for m in ms):
-        raise argparse.ArgumentTypeError(f"must list sizes in 2..{MAX_SIMON_M}, got {text!r}")
+        raise argparse.ArgumentTypeError(
+            f"must list sizes in 2..MAX_SIMON_M = {MAX_SIMON_M}, got {text!r}"
+        )
     if len(set(ms)) < len(ms):
         # per_m is keyed by size, so a repeat would overwrite a result
         raise argparse.ArgumentTypeError(f"must list each size once, got {text!r}")
@@ -90,9 +88,12 @@ def _m_list(text: str) -> list[int]:
 
 
 def _meta(schema: str, args, *unechoed: str) -> dict:
-    """The meta block: the parsed arguments, less the common and `unechoed` ones."""
+    """The meta block: the parsed arguments, less the common and `unechoed` ones.
+
+    A Dimension among them is written as its str, by json.dumps's default=str.
+    """
     skip = {"command", "func", "seed", "out", *unechoed}
-    params = {k: _echo(v) for k, v in vars(args).items() if k not in skip}
+    params = {k: v for k, v in vars(args).items() if k not in skip}
     return {
         "tool": "purestream",
         "version": __version__,
@@ -101,15 +102,6 @@ def _meta(schema: str, args, *unechoed: str) -> dict:
         "params": params,
         "seed": args.seed,
     }
-
-
-def _echo(value):
-    """A parsed argument as the meta block shows it: a Dimension as its str."""
-    from .core import Dimension
-
-    if isinstance(value, list):
-        return [_echo(v) for v in value]
-    return str(value) if isinstance(value, Dimension) else value
 
 
 @contextlib.contextmanager
@@ -142,7 +134,7 @@ def _csv(meta: dict, header: list[str], rows):
     lines = []
     for key, value in meta.items():
         if key == "params":
-            value = json.dumps(value, sort_keys=True)
+            value = json.dumps(value, sort_keys=True, default=str)
         lines.append(f"# {key}: {value}\n")
     lines.append(",".join(header) + "\n")
     body = (",".join(map(_cell, row)) + "\n" for row in itertools.chain(first, rows))
@@ -154,7 +146,7 @@ def _cell(x) -> str:
 
 
 def _json_doc(meta: dict, payload: dict) -> str:
-    return json.dumps({"meta": meta, **payload}, sort_keys=True, indent=2) + "\n"
+    return json.dumps({"meta": meta, **payload}, sort_keys=True, indent=2, default=str) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -209,7 +201,10 @@ def cmd_region(args):
     from . import gadget
 
     if args.resolution > MAX_RESOLUTION:
-        raise _UsageExit(f"--resolution must be at most {MAX_RESOLUTION}, got {args.resolution}")
+        raise ValueError(
+            f"--resolution must be at most MAX_RESOLUTION = {MAX_RESOLUTION}, "
+            f"got {args.resolution}"
+        )
     dims = args.d_list
     grid = _region_grid(args.resolution)
     rows = (
@@ -230,7 +225,7 @@ def cmd_simulate(args):
 
     if args.per_run not in (None, "-") and args.out != "-":
         if os.path.realpath(args.out) == os.path.realpath(args.per_run):
-            raise _UsageExit(f"--out and --per-run name the same file: {args.per_run}")
+            raise ValueError(f"--out and --per-run name the same file: {args.per_run}")
     summary, samples = streaming.monte_carlo(
         args.delta0,
         args.d,
@@ -267,7 +262,7 @@ def cmd_verify(args):
     from .core import Seed
 
     if args.d > dense_oracle.MAX_DIM:
-        raise _UsageExit(f"dense oracle is capped at d <= {dense_oracle.MAX_DIM}")
+        raise ValueError(f"dense oracle is capped at d <= MAX_DIM = {dense_oracle.MAX_DIM}")
     tol = args.tol
     rng = Seed(args.seed).generator()
     worst_prob = 0.0
@@ -469,7 +464,7 @@ def main(argv=None) -> int:
                     fh.truncate(0)
                 fh.writelines(lines)
         return code
-    except (_UsageExit, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except ArithmeticError as exc:

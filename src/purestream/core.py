@@ -38,6 +38,7 @@ __all__ = [
     "check_closed_unit",
     "check_open_unit",
     "check_dim",
+    "check_int",
     "fidelity_of_output",
 ]
 
@@ -117,8 +118,8 @@ class Seed:
     stream_index: int = 0
 
     def __post_init__(self):
-        _check_integer("root_seed", self.root_seed, 0)
-        _check_integer("stream_index", self.stream_index, 0)
+        check_int("root_seed", self.root_seed, 0)
+        check_int("stream_index", self.stream_index, 0)
         if self.root_seed > _UINT64_MAX:
             raise ValueError("root_seed must be a 64-bit unsigned integer")
 
@@ -166,11 +167,11 @@ def check_open_unit(**values: float):
 
 def check_dim(d: int):
     """Reject a dimension that is not an integer >= 2 (an int or a numpy integer)."""
-    _check_integer("d", d, 2)
+    check_int("d", d, 2)
 
 
-def _check_integer(name: str, value, lo: int):
-    """Reject, by name, a value that is not an integer >= lo (an int or a numpy integer)."""
+def check_int(name: str, value, lo: int):
+    """Reject, by name, a count that is not an integer >= lo (an int or a numpy integer)."""
     try:
         operator.index(value)
     except TypeError:

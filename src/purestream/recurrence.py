@@ -25,11 +25,10 @@ tomography-based alternatives.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
-from .core import Dimension, as_dimension, check_closed_unit, check_dim, check_open_unit
+from .core import Dimension, as_dimension, check_closed_unit, check_dim, check_int, check_open_unit
 from .gadget import _output_delta, _success_prob
 
 __all__ = [
@@ -123,16 +122,22 @@ class RecurrenceTrace:
         return 2.0 ** len(self.ps) / math.prod(self.ps)
 
 
-def _walk(delta0: float, r: float):
-    """(delta_i, kappa_i, p_i) for i = 0, 1, ... without end, at r = 1/d: the one loop.
+def orbit(delta0: float, dim, n: int):
+    """The n-step orbit, one level at a time: (delta_i, kappa_i, p_i), i = 0 .. n: the one loop.
 
     p_0 = None and p_i = P(delta_{i-1}, d), read once per level from the
-    gadget's formula.  Every value stays in [0, 1], so no level re-checks
-    it, and delta = 1, the one fixed point that formula would not keep
-    exactly, is always on the kappa side.
+    gadget's formula.  Holds one level, not the orbit; delta_0 in (0, 1) and
+    0 <= n <= ITERATION_CAP are checked at the first level.  Every value
+    stays in [0, 1], so no level re-checks it, and delta = 1, the one fixed
+    point that formula would not keep exactly, is always on the kappa side.
     """
+    r = as_dimension(dim).inv
+    check_open_unit(delta0=delta0)
+    check_int("n", n, 0)
+    if n > ITERATION_CAP:
+        raise ValueError(f"n must lie in 0..ITERATION_CAP = {ITERATION_CAP}, got {n}")
     delta, kappa, p = delta0, 1.0 - delta0, None
-    while True:
+    for _ in range(n):
         yield delta, kappa, p
         p = _success_prob(delta, delta, r)
         # kappa-native step whenever the current delta exceeds 1/2; the
@@ -143,19 +148,7 @@ def _walk(delta0: float, r: float):
         else:
             delta = _output_delta(delta, delta, r, p)
             kappa = 1.0 - delta
-
-
-def orbit(delta0: float, dim, n: int):
-    """The n-step orbit, one level at a time: (delta_i, kappa_i, p_i), i = 0 .. n.
-
-    p_0 = None and p_i = P(delta_{i-1}, d).  Holds one level, not the orbit;
-    delta_0 in (0, 1) and 0 <= n <= ITERATION_CAP are checked at the first level.
-    """
-    r = as_dimension(dim).inv
-    check_open_unit(delta0=delta0)
-    if not 0 <= n <= ITERATION_CAP:
-        raise ValueError(f"n must lie in 0..ITERATION_CAP = {ITERATION_CAP}, got {n}")
-    yield from itertools.islice(_walk(delta0, r), n + 1)
+    yield delta, kappa, p
 
 
 def iterate(delta0: float, dim, n: int) -> RecurrenceTrace:
@@ -171,16 +164,13 @@ def iterate(delta0: float, dim, n: int) -> RecurrenceTrace:
 
 def iterations_to(delta0: float, dim, eps: float) -> int:
     """Smallest n with delta_n <= eps (0 if delta_0 already qualifies), n <= ITERATION_CAP."""
-    r = as_dimension(dim).inv
-    if not (0.0 < eps < delta0 < 1.0):
-        if 0.0 < delta0 < 1.0 and eps >= delta0:
-            return 0
-        raise ValueError(f"need 0 < eps < delta0 < 1, got eps={eps} delta0={delta0}")
-    for n, (delta, _, _) in enumerate(itertools.islice(_walk(delta0, r), ITERATION_CAP + 1)):
+    if not eps > 0.0:
+        raise ValueError(f"eps must be > 0, got {eps}")
+    for n, (delta, _, _) in enumerate(orbit(delta0, dim, ITERATION_CAP)):
         if delta <= eps:
             return n
-    raise RuntimeError(
-        f"no convergence to eps={eps} from delta0={delta0} within {ITERATION_CAP} iterations"
+    raise ValueError(
+        f"no convergence to eps={eps} from delta0={delta0} within ITERATION_CAP = {ITERATION_CAP}"
     )
 
 
@@ -279,8 +269,7 @@ def gate_count_estimate(attempts: int, d: int) -> int:
     one measurement: k + 3 gates (4 at d = 2, 5 at d = 3, 7 at d = 16).
     """
     check_dim(d)
-    if attempts < 0:
-        raise ValueError("swap attempt count must be non-negative")
+    check_int("attempts", attempts, 0)
     return attempts * ((d - 1).bit_length() + 3)
 
 

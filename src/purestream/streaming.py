@@ -24,7 +24,7 @@ from collections.abc import Iterator
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .core import Dimension, as_generator, as_seed, check_dim, check_open_unit
+from .core import Dimension, as_generator, as_seed, check_dim, check_int, check_open_unit
 from .recurrence import RecurrenceTrace, iterate
 
 if TYPE_CHECKING:
@@ -75,9 +75,9 @@ def protocol_trace(delta0: float, d: int, n: int, runs: int = 1) -> RecurrenceTr
     """
     check_open_unit(delta0=delta0)
     check_dim(d)
-    if n < 1:
-        raise ValueError(f"n must be at least 1, got {n}")
-    if not 1 <= runs <= MAX_RUNS:
+    check_int("n", n, 1)
+    check_int("runs", runs, 1)
+    if runs > MAX_RUNS:
         raise ValueError(f"runs must lie in 1..MAX_RUNS = {MAX_RUNS:.0e}, got {runs}")
     # in log2: log2 runs + n - sum log2 p_i.  Every p_i <= 1, so n alone is
     # a lower bound, and testing it first keeps the recurrence short.
@@ -340,6 +340,7 @@ def monte_carlo(
     import numpy as np
 
     trace = protocol_trace(delta0, d, n, runs)
+    check_int("jobs", jobs, 1)
     machine = StackMachine(trace.ps)  # one for every run
     task = functools.partial(_mc_stream, machine, as_seed(seed), runs)
 

@@ -1,5 +1,6 @@
 import contextlib
 import io
+import itertools
 import json
 import math
 import os
@@ -9,6 +10,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
 from lemmas import eta_bound
 from purestream import applications, cli, dense_oracle, gadget, recurrence, streaming
@@ -147,6 +150,25 @@ class TestBoundsCommand:
         text = capsys.readouterr().out
         assert "N/A" in text
         assert "n_upper_finite_d" in text
+
+
+class TestIterationCap:
+    # near delta = 1 at a large d the walk moves by about 1e-15 a level, so
+    # neither converges within ITERATION_CAP; each once leaked a traceback
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["bounds", "--d", "1000000", "--delta0", "0.999999999", "--eps", "0.01"],
+            ["simon", "--m", "10", "--delta", "0.999999999999", "--eps", "1e-9", "--trials", "1"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_refused_naming_the_cap(self, argv, capsys):
+        assert run_cli(argv) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        error = err.splitlines()[-1]
+        assert error.startswith("error: ") and "ITERATION_CAP" in error
 
 
 class TestRegionCommand:
@@ -726,6 +748,94 @@ class TestFuzz:
                 assert proc.returncode == 1
                 error = proc.stderr.splitlines()[-1]
                 assert error.startswith("error: ") and name in error
+
+
+# Domain search: each command but bounds on arguments drawn from its valid
+# domain, in process.  Sizes are bounded so that a draw costs milliseconds:
+# a count is either small or past its cap, which refuses it at once.
+CAPS = ("ITERATION_CAP", "MAX_EXPECTED_COPIES", "MAX_RUNS", "MAX_DIM", "MAX_RESOLUTION",
+        "MAX_SIMON_M")
+UNIT = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
+SEEDS = st.integers(0, 2**64 - 1)
+DIM_LISTS = st.lists(
+    st.one_of(st.integers(2, 10**18), st.just("inf")), min_size=1, max_size=3, unique=True
+).map(lambda dims: ",".join(map(str, dims)))
+
+
+def command(name, **flags):
+    """The argv of command `name`, each --flag drawn from its strategy."""
+    return st.fixed_dictionaries(flags).map(lambda drawn: [name, *itertools.chain.from_iterable(
+        (f"--{flag.replace('_', '-')}", str(value)) for flag, value in drawn.items()
+    )])
+
+
+@st.composite
+def simon_argv(draw):
+    m = draw(st.integers(2, 6))
+    delta = draw(UNIT)
+    # eps = delta_k, reached at level n <= k: at most 4^6 copies a sample at
+    # k <= 6, and past MAX_EXPECTED_COPIES at n >= 30, which some draws try
+    k = draw(st.integers(30, 2000) if draw(st.integers(0, 3)) == 3 else st.integers(1, 6))
+    deltas = recurrence.iterate(delta, 4**m, k).deltas
+    eps = deltas[-1]
+    assume(0.0 < eps < delta and (k <= 6 or deltas.index(eps) >= 30))
+    sizes = str(m)
+    if draw(st.integers(0, 4)) == 4:  # some draws list a size past MAX_SIMON_M too
+        sizes += f",{draw(st.integers(cli.MAX_SIMON_M + 1, 10**6))}"
+    return draw(command("simon", m=st.just(sizes), delta=st.just(delta), eps=st.just(eps),
+                        trials=st.integers(1, 2), budget=st.integers(1, 20), seed=SEEDS))
+
+
+DOMAINS = {
+    "recurrence": command(
+        "recurrence", d=DIM_LISTS, delta0=UNIT,
+        iters=st.one_of(st.integers(0, 200), st.integers(recurrence.ITERATION_CAP + 1, 10**12)),
+        seed=SEEDS,
+    ),
+    "region": command(
+        "region", d_list=DIM_LISTS,
+        resolution=st.one_of(st.integers(1, 200), st.integers(cli.MAX_RESOLUTION + 1, 10**12)),
+        seed=SEEDS,
+    ),
+    "simulate": command(
+        "simulate", d=st.integers(2, 10**9), delta0=UNIT,
+        levels=st.one_of(st.integers(1, 5), st.integers(30, 10**12)),
+        runs=st.one_of(st.integers(1, 100), st.integers(streaming.MAX_RUNS + 1, 10**12)),
+        seed=SEEDS,
+    ),
+    "verify": command(
+        "verify", d=st.integers(2, dense_oracle.MAX_DIM + 3), trials=st.integers(1, 6),
+        tol=st.floats(0.0, allow_infinity=False), seed=SEEDS,
+    ),
+    "simon": simon_argv(),
+    # an eta below 1e-6 needs over ITERATION_CAP levels, one in [1e-3, 1) at most 2,030
+    "mixedness": command(
+        "mixedness", d=st.integers(2, 10**9),
+        eta=st.one_of(st.floats(1e-3, 1.0, exclude_max=True),
+                      st.floats(0.0, 1e-6, exclude_min=True)),
+        case=st.sampled_from(["mixed", "far", "both"]), trials=st.integers(1, 5),
+        reps=st.integers(1, 50), tau=UNIT, seed=SEEDS,
+    ),
+}
+# the exit codes, besides 0 and a refusal past a cap, that a command may give
+OTHER_EXITS = {"verify": {cli.EXIT_VALIDATION}, "simon": {cli.EXIT_BUDGET}}
+
+
+class TestDomainSearch:
+    @pytest.mark.parametrize("name", DOMAINS)
+    @settings(max_examples=100, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_documented_exit(self, name, data, capsys):
+        argv = data.draw(DOMAINS[name])
+        code = run_cli(argv)  # an exception that escapes main fails the test
+        out, err = capsys.readouterr()
+        if code == cli.EXIT_USAGE:
+            error = err.splitlines()[-1]
+            assert out == "" and error.startswith("error: ")
+            assert any(cap in error for cap in CAPS), error
+        else:
+            assert code in {cli.EXIT_OK, *OTHER_EXITS.get(name, ())}, err
 
 
 class TestParserReuse:

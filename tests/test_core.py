@@ -13,6 +13,7 @@ from purestream.core import (
     as_seed,
     check_closed_unit,
     check_dim,
+    check_int,
     check_open_unit,
     fidelity_of_output,
 )
@@ -168,6 +169,14 @@ class TestChecks:
         with pytest.raises(ValueError, match="^d must be >= 2, got 1"):
             Dimension(1)
 
+    def test_int(self):
+        check_int("k", 0, 0)
+        check_int("k", np.int64(3), 3)
+        with pytest.raises(ValueError, match="^k must be >= 1, got 0$"):
+            check_int("k", 0, 1)
+        with pytest.raises(ValueError, match="^k must be an integer, got 3.0$"):
+            check_int("k", 3.0, 1)
+
     @pytest.mark.parametrize("bad", [2.5, 3.0, float("nan"), float("inf"), None])
     def test_dim_integers_only(self, bad):
         check_dim(np.int64(2))
@@ -195,6 +204,27 @@ NON_INTEGER_D = {
 def test_non_integer_d_is_refused(call):
     with pytest.raises(ValueError, match="^d must be an integer, got 2.5"):
         call()
+
+
+# every count that an entry takes, as a non-integer, keyed by its name: each
+# once leaked a TypeError, ran, or was refused in another argument's words
+NON_INTEGER_COUNTS = {
+    "reps": lambda: applications.mixedness_test(1.0, 2, 0.5, 2.5, 1),
+    "runs": lambda: streaming.monte_carlo(0.3, 2, 3, 2.5, 1),
+    "jobs": lambda: streaming.monte_carlo(0.3, 2, 3, 10, 1, jobs=1.5),
+    "n": lambda: streaming.protocol_trace(0.3, 2, 1.5),
+    "budget": lambda: applications.solve_simon(
+        applications.SimonInstance(2, "10", 0.2), 0.1, 2.5, 1
+    ),
+    "m": lambda: applications.SimonInstance(2.5, "10", 0.2),
+    "attempts": lambda: recurrence.gate_count_estimate(1.5, 2),
+}
+
+
+@pytest.mark.parametrize("name", NON_INTEGER_COUNTS)
+def test_non_integer_count_is_refused(name):
+    with pytest.raises(ValueError, match=f"^{name} must be an integer, got [12].5$"):
+        NON_INTEGER_COUNTS[name]()
 
 
 class TestFidelity:

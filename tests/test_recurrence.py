@@ -200,12 +200,19 @@ class TestIterationsTo:
         assert tr.deltas[n - 1] > eps
 
     def test_cap_raises(self):
-        with pytest.raises(RuntimeError):
+        with pytest.raises(ValueError, match="ITERATION_CAP"):
             iterations_to(1 - 1e-9, "inf", 0.5)
 
     def test_rejects_bad_eps(self):
         with pytest.raises(ValueError):
             iterations_to(0.5, 2, 0.0)
+
+    def test_eps_over_delta0_is_level_zero(self):
+        # only eps > 0 is checked here; the walk checks delta_0
+        assert iterations_to(0.3, 2, 0.9) == 0
+        assert iterations_to(0.3, 2, 2.0) == 0
+        with pytest.raises(ValueError, match="^delta0 must lie in"):
+            iterations_to(1.5, 2, 2.0)
 
 
 class TestIStar:

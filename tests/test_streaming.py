@@ -29,9 +29,9 @@ class TestDegenerateAndRigged:
     def test_zero_levels_refused(self):
         # a protocol has at least one level: no entry hands back a raw copy
         for entry in (purify_streaming, purify_recursive):
-            with pytest.raises(ValueError, match="^n must be at least 1, got 0$"):
+            with pytest.raises(ValueError, match="^n must be >= 1, got 0$"):
                 entry(0.37, 2, 0, Seed(0))
-        with pytest.raises(ValueError, match="^n must be at least 1, got 0$"):
+        with pytest.raises(ValueError, match="^n must be >= 1, got 0$"):
             monte_carlo(0.37, 2, 0, 10, Seed(0))
         with pytest.raises(ValueError, match="^p_of_level must list at least one level$"):
             StackMachine([])

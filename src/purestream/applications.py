@@ -217,10 +217,6 @@ class MixednessOutcome:
     verdict: str
     pass_rate: float
     passes: int
-    reps: int
-    n_levels: int
-    top_pass_prob: float
-    threshold: float
 
 
 def mixedness_levels(eta: float) -> int:
@@ -271,7 +267,7 @@ def mixedness_test(
     check_dim(d)
     check_open_unit(threshold=threshold)
     check_int("reps", reps, 1)
-    n = mixedness_levels(eta)  # validates eta
+    mixedness_levels(eta)  # validates eta before the bound on case_delta reads it
     if case_delta != 1.0 and not (0.0 < case_delta <= 1.0 - eta / 2.0):
         raise ValueError(
             f"case_delta must be 1 or at most 1 - eta/2 = {1.0 - eta / 2.0}, "
@@ -282,12 +278,4 @@ def mixedness_test(
     passes = int((rng.random(reps) < p_top).sum())
     rate = passes / reps
     verdict = MAXIMALLY_MIXED if rate < threshold else FAR_FROM_MIXED
-    return MixednessOutcome(
-        verdict=verdict,
-        pass_rate=rate,
-        passes=passes,
-        reps=reps,
-        n_levels=n,
-        top_pass_prob=p_top,
-        threshold=threshold,
-    )
+    return MixednessOutcome(verdict=verdict, pass_rate=rate, passes=passes)

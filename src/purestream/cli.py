@@ -109,14 +109,19 @@ def _outputs(*paths: str):
     """Open paths in order ('-' is stdout), in append mode, and yield their streams.
 
     Appending changes no file, so a bad path fails before the command runs
-    and leaves every file as it was.  If the block raises, the files that
-    this call created are removed; the caller empties each regular file
-    before it writes.
+    and leaves every file as it was, and so do --out and --per-run that
+    open one file, by any name or hard link.  If the block raises, the
+    files that this call created are removed; the caller empties each
+    regular file before it writes.
     """
     created = [p for p in paths if p != "-" and not os.path.lexists(p)]
     try:
         with contextlib.ExitStack() as stack:
-            yield [sys.stdout if p == "-" else stack.enter_context(open(p, "a")) for p in paths]
+            files = [sys.stdout if p == "-" else stack.enter_context(open(p, "a")) for p in paths]
+            fds = [fh.fileno() for fh in files if fh is not sys.stdout]
+            if len(fds) == 2 and os.path.sameopenfile(*fds):
+                raise ValueError(f"--out and --per-run name the same file: {paths[1]}")
+            yield files
     except BaseException:
         for path in filter(os.path.lexists, created):
             os.remove(path)
@@ -223,17 +228,8 @@ def cmd_simulate(args):
     from . import streaming
     from .core import Seed
 
-    if args.per_run not in (None, "-") and args.out != "-":
-        if os.path.realpath(args.out) == os.path.realpath(args.per_run):
-            raise ValueError(f"--out and --per-run name the same file: {args.per_run}")
-    summary, samples = streaming.monte_carlo(
-        args.delta0,
-        args.d,
-        args.levels,
-        args.runs,
-        Seed(args.seed),
-        jobs=args.jobs,
-        keep_samples=True,
+    summary = streaming.monte_carlo(
+        args.delta0, args.d, args.levels, args.runs, Seed(args.seed), jobs=args.jobs
     )
     meta = _meta("simulate-v2", args, "per_run")
     payload = {
@@ -244,14 +240,14 @@ def cmd_simulate(args):
             "min_copies": summary.min_copies,
             "max_copies": summary.max_copies,
             "mean_swap_attempts": summary.mean_swap_attempts,
-            "max_stack_depth": summary.n + 1,  # the memory bound, which every run reaches
+            "max_stack_depth": args.levels + 1,  # the memory bound, which every run reaches
             "theoretical_sc": summary.theoretical_sc,
             "z_score": summary.z_score,
         }
     }
     outputs = [[_json_doc(meta, payload)]]
     if args.per_run is not None:
-        outputs.append(_csv(meta, ["run", "copies_consumed"], enumerate(samples.tolist())))
+        outputs.append(_csv(meta, ["run", "copies_consumed"], enumerate(summary.copies.tolist())))
     return EXIT_OK, *outputs
 
 

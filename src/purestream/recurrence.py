@@ -28,7 +28,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .core import Dimension, as_dimension, check_closed_unit, check_dim, check_int, check_open_unit
+from .core import as_dimension, check_closed_unit, check_dim, check_int, check_open_unit
 from .gadget import _output_delta, _success_prob
 
 __all__ = [
@@ -107,7 +107,6 @@ class RecurrenceTrace:
     is meaningful even when delta_i rounds to 1.0.
     """
 
-    dim: Dimension
     deltas: tuple[float, ...]
     ps: tuple[float, ...]
     kappas: tuple[float, ...]
@@ -153,13 +152,12 @@ def orbit(delta0: float, dim, n: int):
 
 def iterate(delta0: float, dim, n: int) -> RecurrenceTrace:
     """Iterate the recurrence n times from delta_0 in (0, 1), n <= ITERATION_CAP."""
-    dim = as_dimension(dim)
     deltas, kappas, ps = [], [], []
     for delta, kappa, p in orbit(delta0, dim, n):
         deltas.append(delta)
         kappas.append(kappa)
         ps.append(p)
-    return RecurrenceTrace(dim, tuple(deltas), tuple(ps[1:]), tuple(kappas))
+    return RecurrenceTrace(tuple(deltas), tuple(ps[1:]), tuple(kappas))
 
 
 def iterations_to(delta0: float, dim, eps: float) -> int:

@@ -21,7 +21,7 @@ import functools
 import itertools
 import math
 from collections.abc import Iterator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 from .core import Dimension, as_generator, as_seed, check_dim, check_int, check_open_unit
@@ -277,11 +277,12 @@ def purify_recursive(delta0: float, d: int, n: int, seed) -> StreamStats:
 
 @dataclass(frozen=True)
 class MonteCarloSummary:
-    """Aggregate of independent streaming runs at one parameter point."""
+    """Aggregate of independent streaming runs at one parameter point.
 
-    delta0: float
-    d: int
-    n: int
+    copies holds each run's raw copies in run order.  It is left out of ==,
+    since a numpy array has no truth value there, and out of repr.
+    """
+
     runs: int
     mean_copies: float
     var_copies: float  # sample variance (ddof=1)
@@ -291,6 +292,7 @@ class MonteCarloSummary:
     theoretical_sc: float
     level_attempts: tuple[int, ...]
     level_successes: tuple[int, ...]
+    copies: np.ndarray = field(compare=False, repr=False)
 
     @property
     def stderr_copies(self) -> float:
@@ -326,8 +328,7 @@ def monte_carlo(
     runs: int,
     seed,
     jobs: int = 1,
-    keep_samples: bool = False,
-):
+) -> MonteCarloSummary:
     """Aggregate `runs` independent streaming runs, RUNS_PER_STREAM per seed stream.
 
     Run i takes the next draws of sub-stream i // RUNS_PER_STREAM of the
@@ -361,10 +362,7 @@ def monte_carlo(
     lev_att = tuple(map(sum, zip(*stream_att)))
     lev_suc = tuple(map(sum, zip(*stream_suc)))
 
-    summary = MonteCarloSummary(
-        delta0=delta0,
-        d=d,
-        n=n,
+    return MonteCarloSummary(
         runs=runs,
         mean_copies=float(copies.mean()),
         var_copies=float(copies.var(ddof=1)) if runs > 1 else 0.0,
@@ -374,7 +372,5 @@ def monte_carlo(
         theoretical_sc=trace.expected_copies,
         level_attempts=lev_att,
         level_successes=lev_suc,
+        copies=copies,
     )
-    if keep_samples:
-        return summary, copies
-    return summary

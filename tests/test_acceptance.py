@@ -181,18 +181,18 @@ def test_criterion_07_monte_carlo_matches_formula(mc_summaries):
     with criterion(7) as info:
         zs = []
         exact_zs = []
-        for summary in mc_summaries:
+        for (delta0, d, n), summary in zip(MC_SETTINGS, mc_summaries):
             assert abs(summary.z_score) <= 3.0
             zs.append(summary.z_score)
             # the same gap in exact standard errors, from the exact variance
-            mean, var = copies_moments(iterate(summary.delta0, summary.d, summary.n).ps)
+            mean, var = copies_moments(iterate(delta0, d, n).ps)
             exact_z = (summary.mean_copies - mean) / math.sqrt(var / summary.runs)
             assert abs(exact_z) <= 3.0
             exact_zs.append(exact_z)
         # at delta0 = 0.3 the mean must respect the low-noise theorem bound
-        low = mc_summaries[0]
-        eps = iterate(low.delta0, low.d, low.n).final_delta
-        case1 = 2 * low.delta0 / (eps * (1 - 2 * low.delta0) ** 2)
+        (delta0, d, n), low = MC_SETTINGS[0], mc_summaries[0]
+        eps = iterate(delta0, d, n).final_delta
+        case1 = 2 * delta0 / (eps * (1 - 2 * delta0) ** 2)
         assert low.mean_copies <= case1
         info["detail"] = (
             f"z = {zs[0]:+.2f}, {zs[1]:+.2f} (exact sigma {exact_zs[0]:+.2f}, "
@@ -337,10 +337,10 @@ def test_criterion_12_complexity_ordering(mc_summaries):
     mc_summaries, _ = mc_summaries
     with criterion(12) as info:
         details = []
-        for summary in mc_summaries:
-            eps = iterate(summary.delta0, summary.d, summary.n).final_delta
-            low = lower_bound_samples(summary.delta0, summary.d, eps)
-            high = sc_theorem_bound(summary.delta0, summary.d, eps)
+        for (delta0, d, n), summary in zip(MC_SETTINGS, mc_summaries):
+            eps = iterate(delta0, d, n).final_delta
+            low = lower_bound_samples(delta0, d, eps)
+            high = sc_theorem_bound(delta0, d, eps)
             assert low <= summary.mean_copies <= high
             details.append(f"{low:.1f} <= {summary.mean_copies:.1f} <= {high:.1f}")
         info["detail"] = "; ".join(details)

@@ -237,7 +237,7 @@ class TestMixedness:
         out = mixedness_test(1.0, 2, 0.5, 20, Seed(57))
         assert out.verdict == MAXIMALLY_MIXED
         assert out.pass_rate == pytest.approx(0.75, abs=0.25)
-        assert out.n_levels == 22
+        assert mixedness_levels(0.5) == 22
 
     def test_far_case_verdict(self):
         out = mixedness_test(0.5, 2, 0.5, 20, Seed(58))

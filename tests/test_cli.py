@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from lemmas import eta_bound
 from purestream import applications, cli, dense_oracle, gadget, recurrence, streaming
 from purestream.cli import _region_grid, build_parser, main
+from purestream.core import Seed
 
 
 # every command's golden argv (tests/test_goldens.py pins their bytes)
@@ -259,6 +260,26 @@ class TestSimulateCommand:
             assert run_cli(args + ["--out", str(out), "--per-run", str(per_run)]) == 1
             assert capsys.readouterr().err.startswith("error: --out and --per-run")
             assert not out.exists()
+
+    def test_hard_link_is_the_same_file(self, tmp_path, capsys):
+        # realpaths differ for a hard link, which once took the CSV and then the JSON
+        out, per_run = tmp_path / "s.json", tmp_path / "runs.csv"
+        out.write_bytes(b"earlier bytes\n")
+        os.link(out, per_run)
+        before = tree(tmp_path)
+        args = ["simulate", "--d", "2", "--delta0", "0.3", "--levels", "2", "--runs", "3"]
+        assert run_cli(args + ["--out", str(out), "--per-run", str(per_run)]) == 1
+        assert capsys.readouterr().err.startswith("error: --out and --per-run")
+        assert tree(tmp_path) == before
+
+    def test_per_run_rows_are_the_summary_copies(self, tmp_path):
+        per_run = tmp_path / "runs.csv"
+        assert run_cli(["simulate", "--d", "2", "--delta0", "0.3", "--levels", "3",
+                        "--runs", "50", "--seed", "5", "--out", str(tmp_path / "s.json"),
+                        "--per-run", str(per_run)]) == 0
+        summary = streaming.monte_carlo(0.3, 2, 3, 50, Seed(5))
+        rows = [[str(i), str(c)] for i, c in enumerate(summary.copies.tolist())]
+        assert read_csv(per_run)[2] == rows
 
     @pytest.mark.parametrize("flag, other", [("--out", "--per-run"), ("--per-run", "--out")])
     def test_empty_path_is_refused(self, tmp_path, monkeypatch, capsys, flag, other):

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 
 import numpy as np
@@ -366,7 +367,8 @@ class TestMonteCarlo:
         # starts stream 1 afresh rather than continuing stream 0; the level
         # counts are the sums of every run's own lists, over both streams
         point, root, tail = (0.6, 8, 6), Seed(27, 4), 6
-        summary, samples = monte_carlo(*point, RUNS_PER_STREAM + tail, root, keep_samples=True)
+        summary = monte_carlo(*point, RUNS_PER_STREAM + tail, root)
+        samples = summary.copies
         machine = StackMachine.for_protocol(*point)
         counts = []  # each run's (level_attempts, level_successes)
 
@@ -390,10 +392,10 @@ class TestMonteCarlo:
     def test_jobs_do_not_change_results(self):
         # three streams, the last one partial, split between two workers
         runs = 2 * RUNS_PER_STREAM + 452
-        a, a_samples = monte_carlo(0.5, 2, 4, runs, Seed(23), keep_samples=True)
-        b, b_samples = monte_carlo(0.5, 2, 4, runs, Seed(23), jobs=2, keep_samples=True)
+        a = monte_carlo(0.5, 2, 4, runs, Seed(23))
+        b = monte_carlo(0.5, 2, 4, runs, Seed(23), jobs=2)
         assert a == b
-        assert a_samples.tolist() == b_samples.tolist()
+        assert a.copies.tolist() == b.copies.tolist()
 
     def test_workers_capped_at_cpus(self, monkeypatch):
         import multiprocessing
@@ -431,10 +433,16 @@ class TestMonteCarlo:
         # the tasks are exactly the stream indices, one chunk per worker
         assert tasks == [([0, 1, 2, 3, 4], 2), ([0, 1, 2], 1)]
 
-    def test_keep_samples(self):
-        summary, samples = monte_carlo(0.5, 2, 3, 50, Seed(24), keep_samples=True)
-        assert len(samples) == 50
-        assert samples.mean() == summary.mean_copies
+    def test_copies_hold_each_run(self):
+        summary = monte_carlo(0.5, 2, 3, 50, Seed(24))
+        assert len(summary.copies) == 50
+        assert summary.copies.mean() == summary.mean_copies
+
+    def test_equality_ignores_copies(self):
+        # a numpy array has no truth value under ==, so copies is left out
+        summary = monte_carlo(0.5, 2, 3, 50, Seed(24))
+        other = dataclasses.replace(summary, copies=summary.copies[::-1] + 1)
+        assert summary == other
 
     def test_level_aggregates_consistent(self):
         summary = monte_carlo(0.5, 2, 3, 300, Seed(25))
